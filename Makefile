@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test vet race lint analyze fuzz resume-smoke worker-kill-smoke enospc-smoke ci bench bench-check
+.PHONY: build test vet race cpu-parity lint analyze fuzz resume-smoke worker-kill-smoke enospc-smoke ci bench bench-check
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Core-count parity: the packages whose behaviour depends on how many
+# goroutines run at once (fleet retries, the engine's worker pool, the
+# server's breaker, the journal) must pass single-core and multi-core
+# alike, whatever core count the builder has.
+cpu-parity:
+	$(GO) test -count=1 -cpu 1,4 . ./internal/engine ./internal/server ./internal/journal
 
 # Static checks: cvlint over the embedded rule library, gofmt, and vet.
 lint:
@@ -34,10 +41,13 @@ analyze:
 	cat $$out
 
 # Fuzz smoke: a short randomized pass over the parsers that face
-# untrusted input (one -fuzz target per invocation, as go test requires).
+# untrusted input, and the journal's record decoder, which reads whatever
+# a damaged disk hands back (one -fuzz target per invocation, as go test
+# requires).
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime $(FUZZTIME) -run FuzzDecode ./internal/yaml/
 	$(GO) test -fuzz FuzzSSHDParse -fuzztime $(FUZZTIME) -run FuzzSSHDParse ./internal/lens/
+	$(GO) test -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME) -run FuzzDecodeRecord ./internal/journal/
 
 # Kill-and-resume smoke: crash a journaled fleet scan partway, resume,
 # and require the summary to match an uninterrupted run's.
@@ -58,7 +68,7 @@ enospc-smoke:
 	./scripts/enospc_smoke.sh
 
 # The full gate: what CI runs on every change.
-ci: build lint analyze race resume-smoke worker-kill-smoke enospc-smoke fuzz
+ci: build lint analyze race cpu-parity resume-smoke worker-kill-smoke enospc-smoke fuzz
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

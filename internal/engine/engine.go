@@ -256,12 +256,35 @@ func (e *Engine) validateParallel(ent entity.Entity, entries []*cvl.ManifestEntr
 	runs := make([]*entityRun, len(entries))
 	errs := make([]error, len(entries))
 
-	// Phase 1: resolve rules and crawl configuration for every entry
-	// concurrently. Each worker writes only its own slot.
-	if pv := runParallel(par, len(entries), func(i int) {
-		runs[i], errs[i] = e.prepareRun(ent, entries[i], src)
-	}); pv != nil {
-		panic(pv)
+	// Phase 1: resolve rules and crawl configuration for every entry,
+	// with the serial path's error semantics. The first entry is prepared
+	// alone, so an entity that cannot be walked fails after the one walk
+	// the serial path makes, not once per concurrently started entry —
+	// that would burn retry budgets and hammer a flaky backend. The rest
+	// prepare concurrently, each worker writing only its own slot; once
+	// an entry fails, no entry after it starts, while every entry before
+	// it still runs, so the earliest failing entry is the one reported.
+	runs[0], errs[0] = e.prepareRun(ent, entries[0], src)
+	if errs[0] == nil {
+		var mu sync.Mutex
+		firstErr := len(entries)
+		if pv := runParallel(par, len(entries)-1, func(i int) {
+			i++
+			mu.Lock()
+			stop := i > firstErr
+			mu.Unlock()
+			if stop {
+				return
+			}
+			runs[i], errs[i] = e.prepareRun(ent, entries[i], src)
+			if errs[i] != nil {
+				mu.Lock()
+				firstErr = min(firstErr, i)
+				mu.Unlock()
+			}
+		}); pv != nil {
+			panic(pv)
+		}
 	}
 	for i, err := range errs {
 		// Earliest-entry error wins, matching the serial abort order.

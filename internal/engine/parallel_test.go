@@ -115,6 +115,47 @@ func TestParallelPrepPanicPropagates(t *testing.T) {
 	_, _ = NewWithOptions(nil, Options{Parallelism: 4}).Validate(ent, manifest, read)
 }
 
+// failWalkEntity fails every walk and counts them — an entity whose
+// backend is down.
+type failWalkEntity struct {
+	*entity.Mem
+	walks atomic.Int64
+}
+
+func (f *failWalkEntity) Walk(root string, fn func(entity.FileInfo) error) error {
+	f.walks.Add(1)
+	return fmt.Errorf("store down")
+}
+
+// TestParallelWalkFailureMatchesSerial pins the prepare phase's error
+// semantics: an entity that cannot be walked costs the same number of
+// walks, and fails with the same error, at every parallelism.
+func TestParallelWalkFailureMatchesSerial(t *testing.T) {
+	manifest, err := cvl.ParseManifest("manifest.yaml", []byte(listing1Files["manifest.yaml"]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(path string) ([]byte, error) { return []byte(listing1Files[path]), nil }
+	run := func(par int) (int64, string) {
+		ent := &failWalkEntity{Mem: stackEntity(true, "0", "/etc/mysql/cacert.pem")}
+		_, err := NewWithOptions(nil, Options{Parallelism: par}).Validate(ent, manifest, read)
+		if err == nil {
+			t.Fatalf("parallelism %d: validation of an unwalkable entity succeeded", par)
+		}
+		return ent.walks.Load(), err.Error()
+	}
+	wantWalks, wantErr := run(1)
+	for _, par := range []int{2, 4, 8} {
+		for i := 0; i < 20; i++ {
+			walks, msg := run(par)
+			if walks != wantWalks || msg != wantErr {
+				t.Fatalf("parallelism %d: %d walks, error %q; serial made %d walks, error %q",
+					par, walks, msg, wantWalks, wantErr)
+			}
+		}
+	}
+}
+
 // TestCachedSourceDefensiveCopy pins the aliasing fix: callers may append
 // to and reorder the slice Resolve returns without corrupting what later
 // callers see.

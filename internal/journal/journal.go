@@ -13,23 +13,60 @@
 //
 // # File format
 //
-// A journal is an 8-byte magic ("CVJRNL01") followed by records:
+// A journal is an 8-byte magic ("CVJRNL02") followed by records:
 //
 //	[uint32 LE payload length][uint32 LE CRC-32 (IEEE) of payload][payload]
 //
-// The payload is a JSON-encoded Record. The format is append-only; nothing
-// in the file is ever updated in place, so the only corruption a crash can
-// cause is a torn tail — which recovery truncates, never fails on.
+// The format is append-only; nothing in the file is ever updated in
+// place, so the only corruption a crash can cause is a torn tail — which
+// recovery truncates, never fails on.
+//
+// A payload is one Record in a compact binary encoding. It opens with its
+// own string table, so each record stands alone; every string field is an
+// index into that table, and a string repeated within the record (entity
+// name, manifest entity, message, file, rule name, type, severity, tag)
+// is stored once. Integers are uvarints (encoding/binary); the status is
+// a zigzag varint.
+//
+//	payload = count { len bytes }            string table, count entries
+//	          entity digest err              string references
+//	          0 | 1 report                   report presence
+//	report  = entity type count { result }
+//	result  = entity manifest_entity status message detail file
+//	          0 | 1 rule                     rule presence
+//	rule    = name type severity suggested_action count { tag }
+//
+// The table lists its strings in the order the fields first reference
+// them, each exactly once. A decoder accepts only that canonical form:
+// minimal varints, no duplicate, unreferenced or out-of-order table
+// entry, presence bytes of 0 or 1, and no trailing bytes — so any payload
+// it accepts re-encodes to the same bytes. It checks every length and
+// count against the bytes left before it allocates anything for it: a
+// string length, the table's entry count and a rule's tag count may not
+// exceed them, nor may a result count times 7, the size of the smallest
+// result (five references, the status and the rule presence byte). A
+// damaged payload that slips past the CRC is therefore rejected, not
+// trusted.
+//
+// Version 1 files ("CVJRNL01") carried a JSON-encoded Record as the
+// payload. Open still reads them: it replays the file with the JSON
+// decoding, then rewrites it as version 2 through Compact before any
+// append, so one file never mixes formats. If the rewrite fails, Open
+// still succeeds with the replayed records, degraded (see Degraded mode):
+// appends are refused until a re-probe or Compact writes the upgrade. The
+// upgrade is one-way; a version 1 reader refuses a version 2 file with
+// ErrNotJournal and leaves it intact.
 //
 // # Recovery
 //
-// Open replays the file record by record and stops at the first record
-// that cannot be trusted: a short header, an implausible length, a torn
-// payload, a CRC mismatch, or undecodable JSON. Everything after that
-// point is discarded (the file is truncated back to the last valid record)
-// and counted as corrupt; everything before it is replayed into the
-// resume index. A mid-file bit flip therefore loses the records after it —
-// they are simply re-scanned — but never aborts a run.
+// Open replays the file in one buffered sequential pass and stops at the
+// first record that cannot be trusted: a short header, an implausible
+// length, a torn payload, a CRC mismatch, or a payload that does not
+// decode. Everything after that point is discarded (the file is truncated
+// back to the last valid record) and counted as corrupt; everything
+// before it is replayed into the resume index. A mid-file bit flip
+// therefore loses the records after it — they are simply re-scanned — but
+// never aborts a run.
 //
 // # Compaction
 //
@@ -63,6 +100,7 @@
 package journal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -82,8 +120,17 @@ import (
 	"configvalidator/internal/fsutil"
 )
 
-// magic identifies (and versions) the on-disk format.
-const magic = "CVJRNL01"
+// magic identifies (and versions) the on-disk format: version 2, the
+// compact binary record. magicV1 is the JSON-record format before it,
+// which Open still reads and upgrades.
+const (
+	magic   = "CVJRNL02"
+	magicV1 = "CVJRNL01"
+)
+
+// replayBufSize is the read buffer of the single sequential pass Open
+// makes over the file.
+const replayBufSize = 256 << 10
 
 // maxRecordSize bounds a single record payload (64 MiB). A length field
 // beyond it is treated as corruption, not as an allocation request.
@@ -100,7 +147,8 @@ const (
 )
 
 // ErrNotJournal reports a file whose header is present but is not a
-// journal — recovery refuses to truncate what it does not own.
+// journal this code reads — a foreign file, or a journal in a newer
+// format version. Recovery refuses to truncate what it does not own.
 var ErrNotJournal = errors.New("journal: file is not a configvalidator journal")
 
 // ErrClosed reports an operation on a closed journal.
@@ -229,6 +277,11 @@ type Journal struct {
 	goodOff     int64
 	nextProbe   time.Time
 	probeWait   time.Duration
+	// upgrade is set while the file is still a version 1 journal whose
+	// rewrite to version 2 failed at Open. Nothing is appended to it; the
+	// journal stays degraded until a re-probe or Compact writes the
+	// upgrade.
+	upgrade bool
 
 	now   func() time.Time    // test seam; nil means time.Now
 	randN func(n int64) int64 // test seam; nil means rand.Int63n
@@ -259,7 +312,12 @@ func Open(path string, opts Options) (*Journal, error) {
 	return j, nil
 }
 
-// recover replays the file, truncating at the first untrusted byte.
+// recover replays the file, truncating at the first untrusted byte. A
+// version 1 journal is replayed with its JSON decoding and then rewritten
+// as version 2 by Compact, before anything can be appended to it. When
+// that rewrite fails (a full disk), the journal opens degraded with its
+// replayed index intact: the run continues, as on any other failed
+// write, and the next re-probe or Compact retries the upgrade.
 func (j *Journal) recover() error {
 	fi, err := j.f.Stat()
 	if err != nil {
@@ -275,6 +333,7 @@ func (j *Journal) recover() error {
 	}
 	header := make([]byte, len(magic))
 	n, err := io.ReadFull(j.f, header)
+	decode := (&decoder{}).record
 	switch {
 	case err == io.ErrUnexpectedEOF || err == io.EOF || n < len(magic):
 		// Crash during initial creation: the header itself is torn.
@@ -282,36 +341,60 @@ func (j *Journal) recover() error {
 		return j.truncateTo(0, true)
 	case err != nil:
 		return fmt.Errorf("journal: read header %s: %w", j.path, err)
+	case string(header) == magicV1:
+		decode = decodeV1
 	case string(header) != magic:
 		return fmt.Errorf("%w: %s", ErrNotJournal, j.path)
 	}
 
+	offset, torn := j.replay(bufio.NewReaderSize(j.f, replayBufSize), size, decode)
+	if torn {
+		j.noteCorrupt()
+		if err := j.truncateTo(offset, false); err != nil {
+			return err
+		}
+	} else if _, err := j.f.Seek(offset, io.SeekStart); err != nil {
+		return fmt.Errorf("journal: seek %s: %w", j.path, err)
+	}
+	j.goodOff = offset
+	if string(header) == magicV1 {
+		if err := j.Compact(); err != nil {
+			j.upgrade = true
+			j.degrade(fmt.Errorf("journal: upgrade %s to %s: %w", j.path, magic, err))
+		}
+	}
+	return nil
+}
+
+// replay reads records from r, positioned just past the header, into the
+// resume index. It returns the offset one past the last valid record and
+// whether replay stopped short of size at a record it could not trust.
+func (j *Journal) replay(r io.Reader, size int64, decode func([]byte) (Record, error)) (int64, bool) {
 	offset := int64(len(magic))
-	head := make([]byte, 8)
+	var head [8]byte
+	var payload []byte // reused: decoders copy what they keep
 	for offset < size {
-		if _, err := io.ReadFull(j.f, head); err != nil {
-			j.noteCorrupt() // torn record header
-			return j.truncateTo(offset, false)
+		if _, err := io.ReadFull(r, head[:]); err != nil {
+			return offset, true // torn record header
 		}
 		length := binary.LittleEndian.Uint32(head[0:4])
 		sum := binary.LittleEndian.Uint32(head[4:8])
 		if length == 0 || length > maxRecordSize || offset+8+int64(length) > size {
-			j.noteCorrupt() // implausible length or torn payload
-			return j.truncateTo(offset, false)
+			return offset, true // implausible length or torn payload
 		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(j.f, payload); err != nil {
-			j.noteCorrupt()
-			return j.truncateTo(offset, false)
+		if cap(payload) < int(length) {
+			payload = make([]byte, length)
+		}
+		payload = payload[:length]
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return offset, true
 		}
 		if crc32.ChecksumIEEE(payload) != sum {
-			j.noteCorrupt() // bit flip: drop this record and everything after
-			return j.truncateTo(offset, false)
+			return offset, true // bit flip: drop this record and everything after
 		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			j.noteCorrupt()
-			return j.truncateTo(offset, false)
+		rec, err := decode(payload)
+		if err != nil {
+			return offset, true
 		}
 		j.absorb(rec)
 		j.replayed = append(j.replayed, rec)
@@ -321,8 +404,14 @@ func (j *Journal) recover() error {
 		}
 		offset += 8 + int64(length)
 	}
-	j.goodOff = offset
-	return nil
+	return offset, false
+}
+
+// decodeV1 decodes a version 1 (JSON) record payload.
+func decodeV1(payload []byte) (Record, error) {
+	var rec Record
+	err := json.Unmarshal(payload, &rec)
+	return rec, err
 }
 
 // truncateTo discards everything at and after offset — the recovery path
@@ -367,17 +456,10 @@ func (j *Journal) absorb(rec Record) {
 // record is written in a single Write call, so a crash tears at most the
 // final record — which recovery truncates.
 func (j *Journal) Append(rec Record) error {
-	payload, err := json.Marshal(rec)
+	buf, err := appendFrame(nil, &rec)
 	if err != nil {
-		return fmt.Errorf("journal: encode record: %w", err)
+		return err
 	}
-	if len(payload) > maxRecordSize {
-		return fmt.Errorf("journal: record for %s exceeds %d bytes", rec.Entity, maxRecordSize)
-	}
-	buf := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[8:], payload)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -394,16 +476,21 @@ func (j *Journal) Append(rec Record) error {
 				j.path, j.nextProbe.Sub(j.clock()).Round(time.Millisecond), j.degradedErr)
 		}
 		// Probe time: restore the file to the last known-good byte so any
-		// torn partial write from the failing period is discarded, then
-		// fall through and attempt the append for real.
+		// torn partial write from the failing period is discarded — or,
+		// for a version 1 file, write its upgrade — then fall through and
+		// attempt the append for real.
 		j.reprobes++
 		if j.opts.Metrics != nil {
 			j.opts.Metrics.JournalReprobe()
 		}
-		if err := j.restoreGood(); err != nil {
+		repair := j.restoreGood
+		if j.upgrade {
+			repair = j.compactLocked
+		}
+		if err := repair(); err != nil {
 			j.appendErrs++
 			j.scheduleReprobe()
-			return fmt.Errorf("journal: append %s (degraded, restore failed): %w", j.path, err)
+			return fmt.Errorf("journal: append %s (degraded, re-probe repair failed): %w", j.path, err)
 		}
 	}
 	if err := j.writeRecord(buf); err != nil {
@@ -436,6 +523,20 @@ func (j *Journal) Append(rec Record) error {
 		}
 	}
 	return nil
+}
+
+// appendFrame appends rec to dst as one framed record: the header, then
+// the v2 payload.
+func appendFrame(dst []byte, rec *Record) ([]byte, error) {
+	start := len(dst)
+	dst = appendRecord(append(dst, make([]byte, 8)...), rec)
+	payload := dst[start+8:]
+	if len(payload) > maxRecordSize {
+		return nil, fmt.Errorf("journal: record for %s exceeds %d bytes", rec.Entity, maxRecordSize)
+	}
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	return dst, nil
 }
 
 // writeRecord puts one framed record at the current file offset, passing
@@ -645,6 +746,10 @@ func (j *Journal) Stats() Stats {
 func (j *Journal) Compact() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.compactLocked()
+}
+
+func (j *Journal) compactLocked() error {
 	if j.closed {
 		return ErrClosed
 	}
@@ -658,18 +763,14 @@ func (j *Journal) Compact() error {
 		if _, err := w.Write([]byte(magic)); err != nil {
 			return err
 		}
-		head := make([]byte, 8)
+		var buf []byte
 		for _, name := range names {
-			payload, err := json.Marshal(j.index[name])
-			if err != nil {
+			rec := j.index[name]
+			var err error
+			if buf, err = appendFrame(buf[:0], &rec); err != nil {
 				return err
 			}
-			binary.LittleEndian.PutUint32(head[0:4], uint32(len(payload)))
-			binary.LittleEndian.PutUint32(head[4:8], crc32.ChecksumIEEE(payload))
-			if _, err := w.Write(head); err != nil {
-				return err
-			}
-			if _, err := w.Write(payload); err != nil {
+			if _, err := w.Write(buf); err != nil {
 				return err
 			}
 		}
@@ -703,6 +804,7 @@ func (j *Journal) Compact() error {
 	j.f = f
 	j.sinceSync = 0
 	j.goodOff = end
+	j.upgrade = false
 	// A successful compaction proves the disk accepts writes again; a
 	// degraded journal can resume appending without waiting for a probe.
 	if j.degraded {
@@ -754,7 +856,9 @@ func Remove(path string) error {
 // ReportRecord is the journal's serialized form of an engine.Report. It
 // carries every field the output renderers (text, JSON, JUnit, drift) read,
 // so a replayed report renders byte-identically to the report produced by
-// re-scanning the unchanged entity.
+// re-scanning the unchanged entity. The journal stores it in the binary
+// encoding of the package doc; the JSON form is the shard wire's and the
+// version 1 payload's.
 type ReportRecord struct {
 	Entity  string         `json:"entity"`
 	Type    string         `json:"type"`
@@ -781,6 +885,22 @@ type RuleRecord struct {
 	Tags            []string `json:"tags,omitempty"`
 	Severity        string   `json:"severity,omitempty"`
 	SuggestedAction string   `json:"suggested_action,omitempty"`
+
+	// rule, when set, is the engine rule Report hands out for this
+	// record: set on the rules a replay interns, so every replayed
+	// report shares one cvl.Rule per distinct rule.
+	rule *cvl.Rule
+}
+
+// fill sets the renderer-visible fields of an engine rule from r.
+func (r *RuleRecord) fill(rule *cvl.Rule) {
+	rule.Name = r.Name
+	rule.Tags = r.Tags
+	rule.Severity = r.Severity
+	rule.SuggestedAction = r.SuggestedAction
+	if t, err := cvl.ParseRuleType(r.Type); err == nil {
+		rule.Type = t
+	}
 }
 
 // NewReportRecord converts an engine report into its journaled form.
@@ -818,18 +938,30 @@ func NewReportRecord(rep *engine.Report) *ReportRecord {
 
 // Report reconstructs the engine report. Rules are rebuilt with the
 // renderer-visible fields only; Report.ByTag, drift diffing, and all four
-// output formats behave identically to the original.
+// output formats behave identically to the original. The results, and
+// the rules a replay did not intern, are each allocated in one slab, not
+// one heap object apiece.
 func (rr *ReportRecord) Report() *engine.Report {
 	if rr == nil {
 		return nil
 	}
+	nrules := 0
+	for i := range rr.Results {
+		if r := rr.Results[i].Rule; r != nil && r.rule == nil {
+			nrules++
+		}
+	}
+	results := make([]engine.Result, len(rr.Results))
+	rules := make([]cvl.Rule, nrules)
 	rep := &engine.Report{
 		EntityName: rr.Entity,
 		EntityType: rr.Type,
-		Results:    make([]*engine.Result, 0, len(rr.Results)),
+		Results:    make([]*engine.Result, len(rr.Results)),
 	}
-	for _, r := range rr.Results {
-		res := &engine.Result{
+	for i := range rr.Results {
+		r := &rr.Results[i]
+		res := &results[i]
+		*res = engine.Result{
 			EntityName:     r.Entity,
 			ManifestEntity: r.ManifestEntity,
 			Status:         engine.Status(r.Status),
@@ -837,19 +969,16 @@ func (rr *ReportRecord) Report() *engine.Report {
 			Detail:         r.Detail,
 			File:           r.File,
 		}
-		if r.Rule != nil {
-			rule := &cvl.Rule{
-				Name:            r.Rule.Name,
-				Tags:            r.Rule.Tags,
-				Severity:        r.Rule.Severity,
-				SuggestedAction: r.Rule.SuggestedAction,
-			}
-			if t, err := cvl.ParseRuleType(r.Rule.Type); err == nil {
-				rule.Type = t
-			}
-			res.Rule = rule
+		switch {
+		case r.Rule == nil:
+		case r.Rule.rule != nil:
+			res.Rule = r.Rule.rule
+		default:
+			res.Rule = &rules[0]
+			rules = rules[1:]
+			r.Rule.fill(res.Rule)
 		}
-		rep.Results = append(rep.Results, res)
+		rep.Results[i] = res
 	}
 	return rep
 }

@@ -52,3 +52,13 @@ func TestLensesNoPanicOnGarbage(t *testing.T) {
 		}()
 	}
 }
+
+// TestNginxUnterminatedQuoteTrailingBackslash: a quoted word cut off
+// right after a backslash used to step the tokenizer past the end of the
+// input and panic.
+func TestNginxUnterminatedQuoteTrailingBackslash(t *testing.T) {
+	l, _ := Default().ByName("nginx")
+	for _, src := range []string{`'\`, `x "a\`, "'- 28)\t9\n*$;\t6\\6=0 c1[*96*2(*)$6:#\\"} {
+		_, _ = l.Parse("nginx.conf", []byte(src))
+	}
+}

@@ -28,6 +28,11 @@ fi
 go vet ./...
 go test -race ./...
 
+# Core-count parity: fleet retries, the engine's worker pool, the server's
+# breaker and the journal must behave the same single-core and multi-core,
+# whatever core count this machine has.
+go test -count=1 -cpu 1,4 . ./internal/engine ./internal/server ./internal/journal
+
 # Kill-and-resume smoke: crash a journaled fleet scan partway, resume,
 # and require the summary to match an uninterrupted run's.
 ./scripts/resume_smoke.sh
@@ -42,8 +47,10 @@ go test -race ./...
 # complete degraded and a follow-up run must resume journaling.
 ./scripts/enospc_smoke.sh
 
-# Fuzz smoke over the untrusted-input parsers; go test accepts one -fuzz
-# target per invocation, so each runs separately.
+# Fuzz smoke over the untrusted-input parsers and the journal's record
+# decoder; go test accepts one -fuzz target per invocation, so each runs
+# separately.
 fuzztime="${FUZZTIME:-10s}"
 go test -fuzz FuzzDecode -fuzztime "$fuzztime" -run FuzzDecode ./internal/yaml/
 go test -fuzz FuzzSSHDParse -fuzztime "$fuzztime" -run FuzzSSHDParse ./internal/lens/
+go test -fuzz FuzzDecodeRecord -fuzztime "$fuzztime" -run FuzzDecodeRecord ./internal/journal/
