@@ -16,9 +16,9 @@ race:
 	$(GO) test -race ./...
 
 # Core-count parity: the packages whose behaviour depends on how many
-# goroutines run at once (fleet retries, the engine's worker pool, the
-# server's breaker, the journal) must pass single-core and multi-core
-# alike, whatever core count the builder has.
+# goroutines run at once (fleet workers and retries, the engine's shared
+# verdict memo, the server's breaker, the journal) must pass single-core
+# and multi-core alike, whatever core count the builder has.
 cpu-parity:
 	$(GO) test -count=1 -cpu 1,4 . ./internal/engine ./internal/server ./internal/journal
 
@@ -67,8 +67,10 @@ worker-kill-smoke:
 enospc-smoke:
 	./scripts/enospc_smoke.sh
 
-# The full gate: what CI runs on every change.
-ci: build lint analyze race cpu-parity resume-smoke worker-kill-smoke enospc-smoke fuzz
+# The full gate: what CI runs on every change. The steps are defined once,
+# in scripts/ci.sh; the targets above run them one at a time.
+ci:
+	FUZZTIME="$(FUZZTIME)" ./scripts/ci.sh
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

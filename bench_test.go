@@ -217,14 +217,15 @@ func BenchmarkFleetScan10(b *testing.B)  { benchmarkFleetScan(b, 10) }
 func BenchmarkFleetScan100(b *testing.B) { benchmarkFleetScan(b, 100) }
 
 // benchmarkFleetScanWarm measures the tuned configuration the fleet layer
-// ships with: a shared content-addressed ParseCache (pre-warmed by one
+// ships with: a shared content-addressed ParseCache, pre-warmed by one
 // untimed pass, as in steady-state scanning where the fleet's distinct
-// file payloads are already resident) and Parallelism=GOMAXPROCS. The
-// cold serial BenchmarkFleetScan* above is the baseline; benchreport
+// file payloads are already resident. Like the cold BenchmarkFleetScan*
+// above, it validates one entity at a time on one goroutine, so the two
+// are serial at every -cpu; the cold run is the baseline, and benchreport
 // -diff gates the warm/cold ratio.
 func benchmarkFleetScanWarm(b *testing.B, n int) {
 	reg, _ := fixtures.Fleet(n, fixtures.Profile{Seed: 99, MisconfigRate: 0.3})
-	v, err := New(WithParseCache(NewParseCache(0)), WithParallelism(0))
+	v, err := New(WithParseCache(NewParseCache(0)))
 	if err != nil {
 		b.Fatal(err)
 	}

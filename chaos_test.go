@@ -1,8 +1,9 @@
 package configvalidator
 
-// Chaos acceptance suite: a 50-entity fleet scanned with deterministic
-// faults armed in three pipeline layers — crawler reads, lens parsing,
-// and rule evaluation — plus one entity-access (walk) failure. The run
+// Chaos acceptance suite: a 50-entity fleet scanned, with and without a
+// parse cache, with deterministic faults armed in three pipeline layers —
+// crawler reads, lens parsing, and rule evaluation — plus one
+// entity-access (walk) failure. The run
 // must complete with zero crashes, every injected fault must surface as
 // either a Degraded finding or a classified FleetResult.Err, and entities
 // the injector never touched must produce byte-identical reports to a
@@ -51,8 +52,29 @@ func reportJSON(t *testing.T, rep *Report) []byte {
 	return buf.Bytes()
 }
 
+// TestChaosFleetGracefulDegradation runs the fault-injected fleet drill on
+// a plain Validator at 8 workers: injected faults — including panics in
+// parsing and rule evaluation — surface as degraded findings or one
+// classified scan error with exact reconciliation, never as crashes, and
+// untouched entities match a fault-free baseline byte for byte. Runs
+// under -race in CI (scripts/ci.sh).
 func TestChaosFleetGracefulDegradation(t *testing.T) {
-	// Fault-free baseline, one report per entity.
+	chaosFleetDrill(t, chaosBaseline(t), 8, nil)
+}
+
+// TestChaosFleetParallelEvaluation re-runs the same drill, walk fault
+// included, with a shared parse cache (and so the verdict memo) armed and
+// entities scanned concurrently at 4 workers: the accounting stays exact
+// and untouched entities still match the fault-free uncached baseline byte
+// for byte. Runs under -race in CI (scripts/ci.sh).
+func TestChaosFleetParallelEvaluation(t *testing.T) {
+	chaosFleetDrill(t, chaosBaseline(t), 4, NewParseCache(0))
+}
+
+// chaosBaseline validates every chaos-fleet entity on a fault-free,
+// uncached Validator and returns each report's JSON by entity name.
+func chaosBaseline(t *testing.T) map[string][]byte {
+	t.Helper()
 	baselineV, err := New()
 	if err != nil {
 		t.Fatal(err)
@@ -69,20 +91,30 @@ func TestChaosFleetGracefulDegradation(t *testing.T) {
 		}
 		baseline[ent.Name()] = reportJSON(t, rep)
 	}
+	return baseline
+}
 
-	// Chaos run: faults in three layers plus one entity-access failure.
-	// The walk rule fires on the globally first walk call, which is by
-	// construction the first pipeline activity of whichever scan reaches
-	// it — so exactly one entity fails entity-level with no other faults
-	// consumed by its aborted scan, and the reconciliation below is exact.
+// chaosFleetDrill scans the chaos fleet with faults in four layers, through
+// cache when it is not nil, and checks every fault against the reports.
+func chaosFleetDrill(t *testing.T, baseline map[string][]byte, workers int, cache *ParseCache) {
+	// Faults in three layers plus one entity-access failure. The walk rule
+	// fires on the globally first walk call, which is by construction the
+	// first pipeline activity of whichever scan reaches it — so exactly one
+	// entity fails entity-level with no other faults consumed by its
+	// aborted scan, and the reconciliation below is exact.
 	inj := faults.MustNew(
 		faults.Rule{Op: faults.OpWalk, Nth: 1, Kind: faults.KindError, Msg: "layer store unreachable"},
 		faults.Rule{Op: faults.OpRead, Path: "sshd_config", Every: 3, Times: 5, Kind: faults.KindError, Msg: "disk read failed"},
 		faults.Rule{Op: faults.OpParse, Path: "nginx.conf", Every: 4, Times: 4, Kind: faults.KindPanic},
 		faults.Rule{Op: faults.OpEval, Path: "sshd/", Every: 7, Times: 8, Kind: faults.KindError, Msg: "evaluator wedged"},
+		faults.Rule{Op: faults.OpEval, Path: "nginx/", Every: 5, Times: 6, Kind: faults.KindPanic},
 	)
 	collector := NewCollector()
-	chaosV, err := New(WithFaults(inj), WithTelemetry(collector))
+	opts := []Option{WithFaults(inj), WithTelemetry(collector)}
+	if cache != nil {
+		opts = append(opts, WithParseCache(cache))
+	}
+	chaosV, err := New(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +126,7 @@ func TestChaosFleetGracefulDegradation(t *testing.T) {
 		}
 	}()
 	var results []FleetResult
-	for res := range chaosV.ValidateFleet(context.Background(), ch, FleetOptions{Workers: 8}) {
+	for res := range chaosV.ValidateFleet(context.Background(), ch, FleetOptions{Workers: workers}) {
 		results = append(results, res)
 	}
 	if len(results) != chaosFleetSize {
@@ -105,7 +137,7 @@ func TestChaosFleetGracefulDegradation(t *testing.T) {
 	// every error traces back to the injector, not to a real failure.
 	var scanErrs int
 	var degradedTotal int64
-	layers := map[string]int{"read": 0, "parse": 0, "eval": 0}
+	layers := map[string]int{"read": 0, "parse": 0, "eval": 0, "eval-panic": 0}
 	var clean, compared int
 	for _, res := range results {
 		if res.Err != nil {
@@ -129,6 +161,8 @@ func TestChaosFleetGracefulDegradation(t *testing.T) {
 				layers["parse"]++
 			case strings.Contains(d.Message, "evaluator wedged"):
 				layers["eval"]++
+			case strings.Contains(d.Message, "rule evaluation panicked"):
+				layers["eval-panic"]++
 			default:
 				t.Errorf("unattributed degraded finding: %q", d.Message)
 			}
@@ -191,107 +225,8 @@ func TestChaosFleetGracefulDegradation(t *testing.T) {
 	if !strings.Contains(sum.String(), "entities_degraded=") {
 		t.Errorf("summary digest missing degraded field: %s", sum.String())
 	}
-}
-
-// TestChaosFleetParallelEvaluation re-runs the fault-injected fleet drill
-// with intra-entity parallelism and a shared parse cache armed: injected
-// faults — including panics raised inside worker goroutines — must still
-// surface as degraded findings with exact reconciliation, never as
-// crashes, and untouched entities must match a fault-free serial baseline
-// byte for byte. Unlike the serial drill this one injects no walk fault:
-// with entries prepared concurrently, an entity-level abort would discard
-// sibling findings whose faults were already consumed, so only
-// read/parse/eval faults (which each surface in some report) keep the
-// accounting exact. Runs under -race in CI (scripts/ci.sh).
-func TestChaosFleetParallelEvaluation(t *testing.T) {
-	baselineV, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline := make(map[string][]byte, chaosFleetSize)
-	for i := 0; i < chaosFleetSize; i++ {
-		ent := chaosEntity(i)
-		rep, err := baselineV.Validate(ent)
-		if err != nil {
-			t.Fatalf("baseline validate %s: %v", ent.Name(), err)
-		}
-		baseline[ent.Name()] = reportJSON(t, rep)
-	}
-
-	inj := faults.MustNew(
-		faults.Rule{Op: faults.OpRead, Path: "sshd_config", Every: 3, Times: 5, Kind: faults.KindError, Msg: "disk read failed"},
-		faults.Rule{Op: faults.OpParse, Path: "nginx.conf", Every: 4, Times: 4, Kind: faults.KindPanic},
-		faults.Rule{Op: faults.OpEval, Path: "sshd/", Every: 7, Times: 8, Kind: faults.KindError, Msg: "evaluator wedged"},
-		faults.Rule{Op: faults.OpEval, Path: "nginx/", Every: 5, Times: 6, Kind: faults.KindPanic},
-	)
-	chaosV, err := New(
-		WithFaults(inj),
-		WithParallelism(8),
-		WithParseCache(NewParseCache(0)),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := make(chan Entity)
-	go func() {
-		defer close(ch)
-		for i := 0; i < chaosFleetSize; i++ {
-			ch <- chaosEntity(i)
-		}
-	}()
-	var results []FleetResult
-	for res := range chaosV.ValidateFleet(context.Background(), ch, FleetOptions{Workers: 4}) {
-		results = append(results, res)
-	}
-	if len(results) != chaosFleetSize {
-		t.Fatalf("fleet returned %d results, want %d", len(results), chaosFleetSize)
-	}
-
-	var degradedTotal int64
-	layers := map[string]int{"read": 0, "parse": 0, "eval": 0, "eval-panic": 0}
-	var compared int
-	for _, res := range results {
-		if res.Err != nil {
-			t.Fatalf("parallel chaos scan errored (faults must degrade, not abort): %v", res.Err)
-		}
-		degraded := res.Report.Degraded()
-		degradedTotal += int64(len(degraded))
-		for _, d := range degraded {
-			switch {
-			case strings.Contains(d.Message, "crawler: read"):
-				layers["read"]++
-			case strings.Contains(d.Message, "read/parse panicked"):
-				layers["parse"]++
-			case strings.Contains(d.Message, "evaluator wedged"):
-				layers["eval"]++
-			case strings.Contains(d.Message, "rule evaluation panicked"):
-				layers["eval-panic"]++
-			default:
-				t.Errorf("unattributed degraded finding: %q", d.Message)
-			}
-		}
-		if len(degraded) == 0 {
-			if got := reportJSON(t, res.Report); !bytes.Equal(got, baseline[res.Report.EntityName]) {
-				t.Errorf("non-faulted entity %s: parallel cached report differs from serial fault-free baseline", res.Report.EntityName)
-			}
-			compared++
-		}
-	}
-	for layer, n := range layers {
-		if n == 0 {
-			t.Errorf("no degraded findings surfaced from the %s layer", layer)
-		}
-	}
-	if compared == 0 {
-		t.Error("no clean entities left to compare against the baseline")
-	}
-	// Exact reconciliation: with no entity-level fault armed, every
-	// injection is exactly one degraded finding in exactly one report.
-	if got := inj.Injected(); got != degradedTotal {
-		t.Errorf("injected %d faults, surfaced %d degraded findings", got, degradedTotal)
-	}
-	if stats := chaosV.ParseCacheStats(); stats.Hits+stats.Misses == 0 {
-		t.Error("parse cache saw no traffic during the parallel chaos run")
+	if stats := cache.Stats(); cache != nil && stats.Hits+stats.Misses == 0 {
+		t.Error("parse cache saw no traffic during the chaos run")
 	}
 }
 

@@ -71,7 +71,6 @@ func run(args []string) error {
 	validateTimeout := fs.Duration("validate-timeout", 0, "per-request validation timeout (0 = default)")
 	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive server-side failures that open the circuit breaker (0 = default)")
 	breakerCooldown := fs.Duration("breaker-cooldown", 0, "how long the breaker stays open before probing (0 = default)")
-	parallelism := fs.Int("parallelism", 0, "intra-entity evaluation parallelism (0 = GOMAXPROCS, 1 = serial)")
 	parseCacheSize := fs.Int("parse-cache", configvalidator.DefaultParseCacheSize, "content-addressed parse cache capacity in files (0 = disabled)")
 	coordinate := fs.Bool("coordinate", false, "run a coordinated fleet validation instead of serving HTTP")
 	workers := fs.String("workers", "", "comma-separated cvworker base URLs for -coordinate (empty = scan in-process)")
@@ -104,7 +103,6 @@ func run(args []string) error {
 			scanRetries:   *scanRetries,
 			fleetWorkers:  *fleetWorkers,
 			journalPath:   *journalPath,
-			parallelism:   *parallelism,
 		})
 	}
 	inj, err := configvalidator.FaultsFromEnv()
@@ -113,7 +111,6 @@ func run(args []string) error {
 	}
 	vopts := []configvalidator.Option{
 		configvalidator.WithTelemetry(configvalidator.NewCollector()),
-		configvalidator.WithParallelism(*parallelism),
 	}
 	if *parseCacheSize > 0 {
 		vopts = append(vopts, configvalidator.WithParseCache(configvalidator.NewParseCache(*parseCacheSize)))
@@ -191,7 +188,6 @@ type coordinateConfig struct {
 	scanRetries   int
 	fleetWorkers  int
 	journalPath   string
-	parallelism   int
 }
 
 // runCoordinate validates a deterministic generated fleet, either
@@ -203,7 +199,6 @@ func runCoordinate(cfg coordinateConfig) error {
 	collector := configvalidator.NewCollector()
 	vopts := []configvalidator.Option{
 		configvalidator.WithTelemetry(collector),
-		configvalidator.WithParallelism(cfg.parallelism),
 	}
 	inj, err := configvalidator.FaultsFromEnv()
 	if err != nil {

@@ -51,7 +51,6 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 		metricsAddr = fs.String("metrics-addr", "", "serve GET /metrics on this address (empty = disabled)")
 		checkpoint  = fs.String("checkpoint", "", "durable baseline journal: drift survives restarts (created if missing)")
 		maxFails    = fs.Int("max-consecutive-failures", 3, "exit after this many consecutive scan failures (0 = keep trying forever)")
-		parallelism = fs.Int("parallelism", 0, "intra-entity evaluation parallelism (0 = GOMAXPROCS, 1 = serial)")
 		cacheSize   = fs.Int("parse-cache", configvalidator.DefaultParseCacheSize, "content-addressed parse cache capacity in files (0 = disabled); repeated scans of an unchanged entity skip re-parsing")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -66,7 +65,6 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 	collector := configvalidator.NewCollector()
 	vopts := []configvalidator.Option{
 		configvalidator.WithTelemetry(collector),
-		configvalidator.WithParallelism(*parallelism),
 	}
 	if *cacheSize > 0 {
 		vopts = append(vopts, configvalidator.WithParseCache(configvalidator.NewParseCache(*cacheSize)))

@@ -219,8 +219,11 @@ func TestWatchSurvivesBrieflyUnreadableFrame(t *testing.T) {
 	var out, errOut syncBuffer
 	errCh := make(chan error, 1)
 	go func() {
+		// The interval is the test's window to hide the frame after scan
+		// 1 and before the next tick; a tick that wins the race scans
+		// the frame a second time and ends the watch with no failure.
 		errCh <- run(context.Background(), []string{
-			"-frame", path, "-interval", "30ms", "-max-scans", "2",
+			"-frame", path, "-interval", "250ms", "-max-scans", "2",
 			"-max-consecutive-failures", "0",
 		}, &out, &errOut)
 	}()

@@ -57,7 +57,6 @@ func run(args []string) error {
 	queueWait := fs.Duration("queue-wait", 0, "longest a queued request waits before shedding (0 = default)")
 	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive server-side failures that open the circuit breaker (0 = default)")
 	breakerCooldown := fs.Duration("breaker-cooldown", 0, "how long the breaker stays open before probing (0 = default)")
-	parallelism := fs.Int("parallelism", 0, "intra-entity evaluation parallelism (0 = GOMAXPROCS, 1 = serial)")
 	parseCacheSize := fs.Int("parse-cache", configvalidator.DefaultParseCacheSize, "content-addressed parse cache capacity in files (0 = disabled)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -76,7 +75,6 @@ func run(args []string) error {
 	}
 	vopts := []configvalidator.Option{
 		configvalidator.WithTelemetry(configvalidator.NewCollector()),
-		configvalidator.WithParallelism(*parallelism),
 	}
 	if *parseCacheSize > 0 {
 		vopts = append(vopts, configvalidator.WithParseCache(configvalidator.NewParseCache(*parseCacheSize)))

@@ -2,14 +2,17 @@ package configvalidator
 
 // Differential determinism suite: the Rehearsal-style guarantee that
 // identical inputs produce byte-identical reports regardless of how the
-// work is scheduled. Every fixture entity is validated serial, at
-// Parallelism 2 and 8, and through a cold and then warm parse cache, and
-// all five runs must render the same text, JSON, and JUnit bytes. A
-// seeded shuffle of the manifest entries then shows that report ordering
-// is a function of the manifest, not of goroutine scheduling.
+// work is scheduled. Every fixture entity is validated once on a plain
+// Validator for a baseline, then through a cold and a warm parse cache, and
+// through ValidateFleet at Workers 1 and 8 over one shared parse cache;
+// every run must render the same text, JSON, and JUnit bytes. A seeded
+// shuffle of the manifest entries then shows that report ordering is a
+// function of the manifest, not of goroutine scheduling.
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -56,66 +59,80 @@ func renderAll(t testing.TB, rep *Report) map[string][]byte {
 	return out
 }
 
+// sameRenderings reports, per output format, whether rep renders to the
+// same bytes as want.
+func sameRenderings(t *testing.T, label string, rep *Report, want map[string][]byte) {
+	t.Helper()
+	got := renderAll(t, rep)
+	for format, wantBytes := range want {
+		if !bytes.Equal(got[format], wantBytes) {
+			t.Errorf("%s: %s %s report differs from serial baseline", rep.EntityName, label, format)
+		}
+	}
+}
+
 func TestDeterminismAcrossSchedules(t *testing.T) {
+	serialV, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cachedV, err := New(WithParseCache(NewParseCache(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	variants := []struct {
-		name string
-		opts []Option
-	}{
-		{"parallel2", []Option{WithParallelism(2)}},
-		{"parallel8", []Option{WithParallelism(8)}},
-	}
-
-	for _, ent := range determinismEntities(t) {
-		serialV, err := New(WithParallelism(1))
-		if err != nil {
-			t.Fatal(err)
-		}
+	ents := determinismEntities(t)
+	want := make(map[string]map[string][]byte, len(ents))
+	for _, ent := range ents {
 		rep, err := serialV.Validate(ent)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := renderAll(t, rep)
+		want[ent.Name()] = renderAll(t, rep)
 
-		check := func(label string, v *Validator) {
-			t.Helper()
-			rep, err := v.Validate(ent)
+		// First pass through cachedV populates the cache for this entity
+		// (cold), the second is served from it (warm); both must match.
+		for _, label := range []string{"cache-cold", "cache-warm"} {
+			rep, err := cachedV.Validate(ent)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", ent.Name(), label, err)
 			}
-			for format, wantBytes := range want {
-				if got := renderAll(t, rep)[format]; !bytes.Equal(got, wantBytes) {
-					t.Errorf("%s: %s %s report differs from serial baseline", ent.Name(), label, format)
-				}
-			}
+			sameRenderings(t, label, rep, want[ent.Name()])
 		}
-		for _, variant := range variants {
-			v, err := New(variant.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(variant.name, v)
-		}
-		// First pass through cachedV populates the cache for this entity
-		// (cold), the second is served from it (warm); both must match.
-		check("cache-cold", cachedV)
-		check("cache-warm", cachedV)
+	}
+	if stats := cachedV.ParseCacheStats(); stats.Hits == 0 {
+		t.Error("warm cache passes recorded no hits — the cached variant tested nothing")
 	}
 
-	stats := cachedV.ParseCacheStats()
-	if stats.Hits == 0 {
-		t.Error("warm cache passes recorded no hits — the cached variant tested nothing")
+	// The fleet schedule: one worker, then eight racing over the parse
+	// cache and verdict memo the first run filled.
+	fleetV, err := New(WithParseCache(NewParseCache(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 8} {
+		label := fmt.Sprintf("fleet-workers%d", workers)
+		n := 0
+		for res := range fleetV.ValidateFleet(context.Background(), sendEntities(ents...), FleetOptions{Workers: workers}) {
+			if res.Err != nil {
+				t.Fatalf("%s/%s: %v", res.Entity, label, res.Err)
+			}
+			sameRenderings(t, label, res.Report, want[res.Entity])
+			n++
+		}
+		if n != len(ents) {
+			t.Fatalf("%s: %d results, want %d", label, n, len(ents))
+		}
+	}
+	if stats := fleetV.ParseCacheStats(); stats.Hits == 0 {
+		t.Error("the second fleet run recorded no parse-cache hits")
 	}
 }
 
 // TestDeterminismManifestOrder validates one entity against a seeded
-// shuffle of the built-in manifest: the serial and parallel reports must
-// agree byte for byte, and the report's entity sequence must follow the
-// shuffled manifest order — ordering derives from the manifest, never
-// from which worker finished first.
+// shuffle of the built-in manifest: concurrent fleet scans of the entity
+// must agree byte for byte with a serial Validate, and the report's entity
+// sequence must follow the shuffled manifest order — ordering derives from
+// the manifest, never from which worker finished first.
 func TestDeterminismManifestOrder(t *testing.T) {
 	base, err := rules.Manifest()
 	if err != nil {
@@ -130,11 +147,11 @@ func TestDeterminismManifestOrder(t *testing.T) {
 			shuffled.Entries[i], shuffled.Entries[j] = shuffled.Entries[j], shuffled.Entries[i]
 		})
 
-		serialV, err := New(WithManifest(shuffled, rules.Reader()), WithParallelism(1))
+		serialV, err := New(WithManifest(shuffled, rules.Reader()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallelV, err := New(WithManifest(shuffled, rules.Reader()), WithParallelism(8))
+		fleetV, err := New(WithManifest(shuffled, rules.Reader()), WithParseCache(NewParseCache(0)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,22 +159,18 @@ func TestDeterminismManifestOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallelRep, err := parallelV.Validate(host)
-		if err != nil {
-			t.Fatal(err)
-		}
 		wantAll := renderAll(t, serialRep)
-		gotAll := renderAll(t, parallelRep)
-		for format, want := range wantAll {
-			if !bytes.Equal(gotAll[format], want) {
-				t.Errorf("iter %d: parallel %s report differs from serial on shuffled manifest", iter, format)
+		for res := range fleetV.ValidateFleet(context.Background(), sendEntities(host, host, host, host), FleetOptions{Workers: 4}) {
+			if res.Err != nil {
+				t.Fatal(res.Err)
 			}
+			sameRenderings(t, fmt.Sprintf("iter %d: fleet on shuffled manifest", iter), res.Report, wantAll)
 		}
 
 		// The sequence of manifest entities in the report must be the
 		// shuffled entry order with consecutive repeats collapsed.
 		var gotOrder []string
-		for _, res := range parallelRep.Results {
+		for _, res := range serialRep.Results {
 			if len(gotOrder) == 0 || gotOrder[len(gotOrder)-1] != res.ManifestEntity {
 				gotOrder = append(gotOrder, res.ManifestEntity)
 			}

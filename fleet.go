@@ -168,10 +168,9 @@ func nextBackoff(base, prev time.Duration) time.Duration {
 //
 // A parse cache attached with WithParseCache is shared by all workers:
 // identical config files across the fleet parse once, which is where most
-// of the scan time goes when images share base layers. WithParallelism
-// additionally fans rule evaluation out within each entity; the two
-// compose (workers × intra-entity pool), so on a fully loaded machine
-// prefer raising Workers first and leave Parallelism at 1.
+// of the scan time goes when images share base layers. Workers is the
+// process's one concurrency knob: each entity validates on its worker's
+// goroutine, and WithParallelism is ignored.
 func (v *Validator) ValidateFleet(ctx context.Context, entities <-chan Entity, opts FleetOptions) <-chan FleetResult {
 	if opts.Scheduler != nil {
 		return opts.Scheduler.Schedule(ctx, v, entities, opts)

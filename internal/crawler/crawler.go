@@ -68,6 +68,9 @@ func New(registry *lens.Registry, opts Options) *Crawler {
 // Registry exposes the lens registry the crawler uses.
 func (c *Crawler) Registry() *lens.Registry { return c.registry }
 
+// Cache exposes the shared parse cache, or nil when the crawler has none.
+func (c *Crawler) Cache() *ParseCache { return c.opts.Cache }
+
 // CrawlPaths walks each search path on the entity and normalizes every
 // recognized configuration file. Missing search paths are skipped (an
 // entity without /etc/mysql simply has no MySQL configuration). Files are

@@ -34,7 +34,7 @@ type parseKey struct {
 // ParseCache is a bounded, content-addressed cache of normalized parse
 // results, shared across every entity scanned through one crawler — the
 // fleet-wide deduplication layer. Safe for concurrent use by any number of
-// fleet workers and intra-entity rule evaluators.
+// fleet workers.
 //
 // Cached Results are shared and must be treated as immutable; the rule
 // engine only queries them. Eviction is LRU by entry count.

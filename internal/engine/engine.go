@@ -4,11 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"path"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"configvalidator/internal/configtree"
 	"configvalidator/internal/crawler"
@@ -19,64 +17,28 @@ import (
 	"configvalidator/internal/schema"
 )
 
-// Options tune engine execution.
-type Options struct {
-	// Parallelism bounds the worker pool used inside one entity
-	// validation: manifest entries resolve and crawl concurrently, and
-	// independent non-composite rules evaluate concurrently. 0 (the
-	// default) uses runtime.GOMAXPROCS(0); 1 runs the serial path with
-	// no pool at all. Reports are identical at every setting — results
-	// are gathered into manifest order and composite rules still
-	// evaluate last, serially — only wall-clock time changes.
-	//
-	// Entities validated with Parallelism > 1 must tolerate concurrent
-	// reads (every built-in entity backend does: they are immutable
-	// snapshots or read-only filesystem views).
-	Parallelism int
-
-	// EvalCacheSize bounds the verdict memo for tree and schema rules,
-	// which are pure functions of (rule, parsed configs): when a shared
-	// crawler.ParseCache makes two entities' configs the same Results,
-	// the verdict is reused instead of re-evaluated (see evalcache.go).
-	// 0 (the default) disables memoization — the correct setting
-	// whenever no parse cache is attached; < 0 enables it with
-	// DefaultEvalCacheSize.
-	EvalCacheSize int
-}
-
 // Engine applies CVL rules to entities.
 type Engine struct {
 	crawler *crawler.Crawler
 	match   *matcher
 	faults  *faults.Injector
-	opts    Options
 	memo    *evalMemo
 }
 
 // New creates an engine. A nil crawler gets default options and the default
-// lens registry.
+// lens registry. When the crawler shares a parse cache (crawler.Options.Cache)
+// the engine also memoizes tree, schema and script verdicts (see
+// evalcache.go); without one no config signature ever repeats, so the memo
+// stays off.
 func New(c *crawler.Crawler) *Engine {
-	return NewWithOptions(c, Options{})
-}
-
-// NewWithOptions creates an engine with explicit execution options.
-func NewWithOptions(c *crawler.Crawler, opts Options) *Engine {
 	if c == nil {
 		c = crawler.New(nil, crawler.Options{})
 	}
-	return &Engine{crawler: c, match: newMatcher(), opts: opts, memo: newEvalMemo(opts.EvalCacheSize)}
-}
-
-// parallelism resolves Options.Parallelism to an effective worker count.
-func (e *Engine) parallelism() int {
-	p := e.opts.Parallelism
-	if p == 0 {
-		p = runtime.GOMAXPROCS(0)
+	e := &Engine{crawler: c, match: newMatcher()}
+	if c.Cache() != nil {
+		e.memo = newEvalMemo()
 	}
-	if p < 1 {
-		p = 1
-	}
-	return p
+	return e
 }
 
 // SetFaults arms fault injection on rule evaluation (faults.OpEval, keyed
@@ -85,7 +47,6 @@ func (e *Engine) SetFaults(inj *faults.Injector) { e.faults = inj }
 
 // entityRun is the per-manifest-entry working state of one validation.
 type entityRun struct {
-	entry   *cvl.ManifestEntry
 	rules   []*cvl.Rule
 	configs []*crawler.FileConfig
 	results []*Result
@@ -165,19 +126,10 @@ func (e *Engine) Validate(ent entity.Entity, manifest *cvl.Manifest, read cvl.Fi
 }
 
 // ValidateWithSource is Validate with a caller-controlled rule source
-// (typically a CachedSource shared across a fleet scan).
-//
-// With Options.Parallelism > 1 the manifest entries are prepared (rule
-// resolution + crawl) and their non-composite rules evaluated on a bounded
-// worker pool; every result lands in a slot fixed by its manifest position,
-// so the assembled report is identical to a serial run regardless of
-// scheduling. Composite rules always run last, serially, in manifest order.
+// (typically a CachedSource shared across a fleet scan). Entries run in
+// manifest order, so the report order is a function of the manifest alone;
+// the first entry that cannot be prepared aborts the validation.
 func (e *Engine) ValidateWithSource(ent entity.Entity, manifest *cvl.Manifest, src RuleSource) (*Report, error) {
-	entries := manifest.EnabledEntries()
-	if par := e.parallelism(); par > 1 && len(entries) > 0 {
-		return e.validateParallel(ent, entries, src, par)
-	}
-
 	report := &Report{EntityName: ent.Name(), EntityType: ent.Type().String()}
 	runs := make(map[string]*entityRun)
 	var order []string
@@ -187,8 +139,12 @@ func (e *Engine) ValidateWithSource(ent entity.Entity, manifest *cvl.Manifest, s
 	}
 	var composites []deferredComposite
 
-	for _, entry := range entries {
-		run, err := e.prepareRun(ent, entry, src)
+	for _, entry := range manifest.EnabledEntries() {
+		rules, err := src.Resolve(entry.CVLFile)
+		var run *entityRun
+		if err == nil {
+			run, err = e.prepareRun(ent, entry, cvl.FilterByTags(rules, entry.Tags))
+		}
 		if err != nil {
 			return nil, fmt.Errorf("engine: entity %s: %w", entry.Name, err)
 		}
@@ -217,22 +173,16 @@ func (e *Engine) ValidateWithSource(ent entity.Entity, manifest *cvl.Manifest, s
 	return report, nil
 }
 
-// prepareRun resolves, filters, and crawls one manifest entry, seeding the
-// run's results with degraded findings for configuration files that could
-// not be read or parsed: the scan continues, but those files' checks
-// cannot be trusted on this pass.
-func (e *Engine) prepareRun(ent entity.Entity, entry *cvl.ManifestEntry, src RuleSource) (*entityRun, error) {
-	rules, err := src.Resolve(entry.CVLFile)
-	if err != nil {
-		return nil, err
-	}
-	rules = cvl.FilterByTags(rules, entry.Tags)
-	rules = cvl.FilterByEntityType(rules, ent.Type().String())
+// prepareRun filters rules to the entity's type and crawls one manifest
+// entry, seeding the run's results with degraded findings for configuration
+// files that could not be read or parsed: the scan continues, but those
+// files' checks cannot be trusted on this pass.
+func (e *Engine) prepareRun(ent entity.Entity, entry *cvl.ManifestEntry, rules []*cvl.Rule) (*entityRun, error) {
 	configs, err := e.crawler.CrawlPaths(ent, entry.ConfigSearchPaths)
 	if err != nil {
 		return nil, err
 	}
-	run := &entityRun{entry: entry, rules: rules, configs: configs}
+	run := &entityRun{rules: cvl.FilterByEntityType(rules, ent.Type().String()), configs: configs}
 	if e.memo != nil {
 		run.verdicts = e.memo.forSig(configSig(configs))
 	}
@@ -250,185 +200,23 @@ func (e *Engine) prepareRun(ent entity.Entity, entry *cvl.ManifestEntry, src Rul
 	return run, nil
 }
 
-// validateParallel is the Parallelism > 1 execution of ValidateWithSource.
-func (e *Engine) validateParallel(ent entity.Entity, entries []*cvl.ManifestEntry, src RuleSource, par int) (*Report, error) {
-	report := &Report{EntityName: ent.Name(), EntityType: ent.Type().String()}
-	runs := make([]*entityRun, len(entries))
-	errs := make([]error, len(entries))
-
-	// Phase 1: resolve rules and crawl configuration for every entry,
-	// with the serial path's error semantics. The first entry is prepared
-	// alone, so an entity that cannot be walked fails after the one walk
-	// the serial path makes, not once per concurrently started entry —
-	// that would burn retry budgets and hammer a flaky backend. The rest
-	// prepare concurrently, each worker writing only its own slot; once
-	// an entry fails, no entry after it starts, while every entry before
-	// it still runs, so the earliest failing entry is the one reported.
-	runs[0], errs[0] = e.prepareRun(ent, entries[0], src)
-	if errs[0] == nil {
-		var mu sync.Mutex
-		firstErr := len(entries)
-		if pv := runParallel(par, len(entries)-1, func(i int) {
-			i++
-			mu.Lock()
-			stop := i > firstErr
-			mu.Unlock()
-			if stop {
-				return
-			}
-			runs[i], errs[i] = e.prepareRun(ent, entries[i], src)
-			if errs[i] != nil {
-				mu.Lock()
-				firstErr = min(firstErr, i)
-				mu.Unlock()
-			}
-		}); pv != nil {
-			panic(pv)
-		}
-	}
-	for i, err := range errs {
-		// Earliest-entry error wins, matching the serial abort order.
-		if err != nil {
-			return nil, fmt.Errorf("engine: entity %s: %w", entries[i].Name, err)
-		}
-	}
-
-	// Phase 2: evaluate independent non-composite rules concurrently.
-	// Each run's result slice is pre-sized so every rule writes the slot
-	// its manifest position dictates — the gather is order-free.
-	type evalTask struct {
-		run  *entityRun
-		slot int
-		rule *cvl.Rule
-	}
-	type compositeRef struct {
-		run  *entityRun
-		rule *cvl.Rule
-	}
-	var tasks []evalTask
-	var composites []compositeRef
-	for _, run := range runs {
-		nonComposite := 0
-		for _, rule := range run.rules {
-			if rule.Type != cvl.TypeComposite {
-				nonComposite++
-			}
-		}
-		slot := len(run.results)
-		run.results = append(run.results, make([]*Result, nonComposite)...)
-		for _, rule := range run.rules {
-			if rule.Type == cvl.TypeComposite {
-				composites = append(composites, compositeRef{run: run, rule: rule})
-				continue
-			}
-			tasks = append(tasks, evalTask{run: run, slot: slot, rule: rule})
-			slot++
-		}
-	}
-	if pv := runParallel(par, len(tasks), func(i int) {
-		t := tasks[i]
-		t.run.results[t.slot] = e.safeEvalRule(ent, t.run.entry, t.rule, t.run.configs, t.run.verdicts)
-	}); pv != nil {
-		panic(pv)
-	}
-
-	// Phase 3: composites last, serially, in manifest order — matching
-	// the serial path, and letting a later composite observe an earlier
-	// composite's outcome exactly as it would serially.
-	byName := make(map[string]*entityRun, len(runs))
-	for _, run := range runs {
-		byName[run.entry.Name] = run
-	}
-	resolver := &runResolver{runs: byName}
-	for _, c := range composites {
-		c.run.results = append(c.run.results, e.safeEvalComposite(ent, c.run.entry, c.rule, resolver))
-	}
-
-	for _, run := range runs {
-		report.Results = append(report.Results, run.results...)
-	}
-	return report, nil
-}
-
-// runParallel executes task(0..n-1) on min(par, n) workers pulling indices
-// from a shared counter. A panicking task is recovered and remembered; the
-// pool drains fully and the panic value of the lowest task index is
-// returned for the caller to re-panic, so panic propagation is
-// deterministic and never leaks a goroutine mid-flight.
-func runParallel(par, n int, task func(i int)) (panicVal any) {
-	if n == 0 {
-		return nil
-	}
-	if par > n {
-		par = n
-	}
-	var (
-		next     int64
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		panicIdx = -1
-	)
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							mu.Lock()
-							if panicIdx < 0 || i < panicIdx {
-								panicIdx, panicVal = i, r
-							}
-							mu.Unlock()
-						}
-					}()
-					task(i)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	return panicVal
-}
-
 // ValidateRules applies a flat rule list to an entity using the given
 // search paths — the single-entity path used by examples, tests, and the
 // benchmark harness (no manifest, no composites).
 func (e *Engine) ValidateRules(ent entity.Entity, rules []*cvl.Rule, searchPaths []string) (*Report, error) {
 	entry := &cvl.ManifestEntry{Name: "default", Enabled: true, ConfigSearchPaths: searchPaths}
-	configs, err := e.crawler.CrawlPaths(ent, searchPaths)
+	run, err := e.prepareRun(ent, entry, rules)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	report := &Report{EntityName: ent.Name(), EntityType: ent.Type().String()}
-	for _, fc := range configs {
-		if fc.Err != nil {
-			report.Results = append(report.Results, &Result{
-				EntityName:     ent.Name(),
-				ManifestEntity: entry.Name,
-				Status:         StatusDegraded,
-				Message:        fc.Err.Error(),
-				File:           fc.Path,
-			})
-		}
-	}
-	var verdicts *sigVerdicts
-	if e.memo != nil {
-		verdicts = e.memo.forSig(configSig(configs))
-	}
-	for _, rule := range cvl.FilterByEntityType(rules, ent.Type().String()) {
+	for _, rule := range run.rules {
 		if rule.Type == cvl.TypeComposite {
-			report.Results = append(report.Results, e.errorResult(ent, entry, rule, errors.New("composite rules require a manifest context")))
+			run.results = append(run.results, e.errorResult(ent, entry, rule, errors.New("composite rules require a manifest context")))
 			continue
 		}
-		report.Results = append(report.Results, e.safeEvalRule(ent, entry, rule, configs, verdicts))
+		run.results = append(run.results, e.safeEvalRule(ent, entry, rule, run.configs, run.verdicts))
 	}
-	return report, nil
+	return &Report{EntityName: ent.Name(), EntityType: ent.Type().String(), Results: run.results}, nil
 }
 
 // safeEvalRule evaluates one rule with per-rule fault injection and panic
@@ -888,7 +676,7 @@ func (r *runResolver) RuleResult(entityName, ruleName string) (bool, bool) {
 	}
 	want := strings.ReplaceAll(ruleName, "/", ".")
 	for _, res := range run.results {
-		if res != nil && res.Rule != nil && strings.ReplaceAll(res.Rule.Name, "/", ".") == want {
+		if res.Rule != nil && strings.ReplaceAll(res.Rule.Name, "/", ".") == want {
 			return res.Status == StatusPass, true
 		}
 	}

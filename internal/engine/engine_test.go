@@ -3,8 +3,10 @@ package engine
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"configvalidator/internal/crawler"
 	"configvalidator/internal/cvl"
 	"configvalidator/internal/entity"
 )
@@ -573,5 +575,129 @@ func TestStatusString(t *testing.T) {
 	}
 	if !strings.Contains(Status(42).String(), "42") {
 		t.Error("unknown status should include number")
+	}
+}
+
+// TestNewEnablesMemoWithParseCache pins how New decides on the verdict
+// memo: on exactly when the crawler shares a parse cache.
+func TestNewEnablesMemoWithParseCache(t *testing.T) {
+	if New(nil).memo != nil {
+		t.Error("engine without a parse cache memoizes verdicts")
+	}
+	if New(crawler.New(nil, crawler.Options{Cache: crawler.NewParseCache(0)})).memo == nil {
+		t.Error("engine over a parse-cached crawler does not memoize verdicts")
+	}
+}
+
+// listing1Manifest parses the Listing 1 manifest and returns it with a
+// reader over its rule files.
+func listing1Manifest(t *testing.T) (*cvl.Manifest, cvl.FileReader) {
+	t.Helper()
+	manifest, err := cvl.ParseManifest("manifest.yaml", []byte(listing1Files["manifest.yaml"]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return manifest, func(path string) ([]byte, error) { return []byte(listing1Files[path]), nil }
+}
+
+// panicWalkEntity panics during entity access — the failure mode of a
+// corrupted backend.
+type panicWalkEntity struct {
+	*entity.Mem
+}
+
+func (p *panicWalkEntity) Walk(root string, fn func(entity.FileInfo) error) error {
+	panic("walk exploded")
+}
+
+// TestWalkPanicPropagates pins that an entity-access panic is not
+// swallowed by the engine: it reaches the caller (where the fleet layer
+// converts it) with its original value.
+func TestWalkPanicPropagates(t *testing.T) {
+	manifest, read := listing1Manifest(t)
+	ent := &panicWalkEntity{Mem: stackEntity(true, "0", "/etc/mysql/cacert.pem")}
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("entity-access panic was swallowed")
+		}
+		if s, ok := r.(string); !ok || s != "walk exploded" {
+			t.Fatalf("recovered %v, want the original panic value", r)
+		}
+	}()
+	_, _ = New(nil).Validate(ent, manifest, read)
+}
+
+// failWalkEntity fails every walk and counts them — an entity whose
+// backend is down.
+type failWalkEntity struct {
+	*entity.Mem
+	walks atomic.Int64
+}
+
+func (f *failWalkEntity) Walk(root string, fn func(entity.FileInfo) error) error {
+	f.walks.Add(1)
+	return fmt.Errorf("store down")
+}
+
+// TestWalkFailureAbortsAtFirstEntry pins the error semantics of an
+// entity that cannot be walked: validation stops at the first manifest
+// entry after one walk — a retry budget or a flaky backend pays for one
+// access per attempt, not one per entry — and the error names that entry.
+func TestWalkFailureAbortsAtFirstEntry(t *testing.T) {
+	manifest, read := listing1Manifest(t)
+	ent := &failWalkEntity{Mem: stackEntity(true, "0", "/etc/mysql/cacert.pem")}
+	_, err := New(nil).Validate(ent, manifest, read)
+	if err == nil {
+		t.Fatal("validation of an unwalkable entity succeeded")
+	}
+	if walks := ent.walks.Load(); walks != 1 {
+		t.Errorf("%d walks, want 1", walks)
+	}
+	first := manifest.EnabledEntries()[0].Name
+	if want := "engine: entity " + first + ": "; !strings.HasPrefix(err.Error(), want) || !strings.Contains(err.Error(), "store down") {
+		t.Errorf("error %q, want prefix %q and the walk error", err, want)
+	}
+}
+
+// TestCachedSourceDefensiveCopy pins the aliasing fix: callers may append
+// to and reorder the slice Resolve returns without corrupting what later
+// callers see.
+func TestCachedSourceDefensiveCopy(t *testing.T) {
+	const twoRules = `
+config_name: first
+config_path: [""]
+preferred_value: ["1"]
+---
+config_name: second
+config_path: [""]
+preferred_value: ["2"]
+`
+	src := NewCachedSource(func(path string) ([]byte, error) { return []byte(twoRules), nil })
+	got, err := src.Resolve("rules.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("resolved %d rules, want 2", len(got))
+	}
+	// Mutations a filtering caller performs: reorder and append.
+	got[0], got[1] = got[1], got[0]
+	_ = append(got, got[0])
+
+	again, err := src.Resolve("rules.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again) != 2 || again[0].Name != "first" || again[1].Name != "second" {
+		names := make([]string, len(again))
+		for i, r := range again {
+			names[i] = r.Name
+		}
+		t.Fatalf("second Resolve sees mutated slice %v, want [first second]", names)
+	}
+	// And the two calls must not share a backing array.
+	if &got[0] == &again[0] {
+		t.Fatal("Resolve returned the same backing array twice")
 	}
 }

@@ -20,11 +20,11 @@ import (
 //
 // Only worth enabling together with a crawler.ParseCache — without one,
 // every scan allocates fresh Results, no signature ever repeats, and the
-// memo is pure overhead.
+// memo is pure overhead. New therefore enables it exactly when the crawler
+// has a parse cache.
 
-// DefaultEvalCacheSize bounds the verdict memo of an engine constructed
-// with EvalCacheSize < 0.
-const DefaultEvalCacheSize = 1 << 16
+// evalMemoCap bounds the number of memoized verdicts.
+const evalMemoCap = 1 << 16
 
 // verdict is the entity-independent part of a Result: everything except
 // the EntityName/ManifestEntity attribution stamped per report.
@@ -44,7 +44,6 @@ type verdict struct {
 // paying LRU bookkeeping on every hit.
 type evalMemo struct {
 	mu    sync.Mutex
-	cap   int
 	count int
 	m     map[string]*sigVerdicts
 }
@@ -56,14 +55,8 @@ type sigVerdicts struct {
 	m    map[*cvl.Rule]verdict
 }
 
-func newEvalMemo(capacity int) *evalMemo {
-	if capacity < 0 {
-		capacity = DefaultEvalCacheSize
-	}
-	if capacity == 0 {
-		return nil
-	}
-	return &evalMemo{cap: capacity, m: make(map[string]*sigVerdicts)}
+func newEvalMemo() *evalMemo {
+	return &evalMemo{m: make(map[string]*sigVerdicts)}
 }
 
 // forSig resolves the verdict table for one config signature, creating it
@@ -89,7 +82,7 @@ func (s *sigVerdicts) get(rule *cvl.Rule) (verdict, bool) {
 func (s *sigVerdicts) put(rule *cvl.Rule, v verdict) {
 	c := s.memo
 	c.mu.Lock()
-	if c.count >= c.cap {
+	if c.count >= evalMemoCap {
 		// Clear the whole memo; tables still referenced by in-flight
 		// runs keep filling, which at worst overshoots the cap by one
 		// fleet generation.

@@ -395,15 +395,19 @@ func TestLintOversizedBodyRejected(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	srv := testServer(t)
 	// Drive a validation and a 404-ish request first so counters move.
+	// Each body is read to EOF: the response ends only after the handler
+	// (and the request counter behind it) has returned.
 	resp, err := http.Post(srv.URL+"/v1/validate/frame", "application/jsonl", frameBody(t, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, _ = io.Copy(io.Discard, resp.Body)
 	_ = resp.Body.Close()
 	bad, err := http.Post(srv.URL+"/v1/validate/frame", "text/plain", strings.NewReader("junk"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, _ = io.Copy(io.Discard, bad.Body)
 	_ = bad.Body.Close()
 
 	m, err := http.Get(srv.URL + "/metrics")

@@ -1,6 +1,8 @@
 #!/bin/sh
-# Full verification gate: build, lint, vet, and race-enabled tests.
-# Equivalent to `make ci`; kept as a script for environments without make.
+# Full verification gate: build, lint, vet, race-enabled tests, the
+# core-count parity run, the crash/worker-kill/disk-pressure smokes, and a
+# fuzz smoke. This script is the one definition of the gate; `make ci`
+# runs it. FUZZTIME sets the per-target fuzz budget (default: 10s).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -28,9 +30,9 @@ fi
 go vet ./...
 go test -race ./...
 
-# Core-count parity: fleet retries, the engine's worker pool, the server's
-# breaker and the journal must behave the same single-core and multi-core,
-# whatever core count this machine has.
+# Core-count parity: fleet workers and retries, the engine's shared verdict
+# memo, the server's breaker and the journal must behave the same
+# single-core and multi-core, whatever core count this machine has.
 go test -count=1 -cpu 1,4 . ./internal/engine ./internal/server ./internal/journal
 
 # Kill-and-resume smoke: crash a journaled fleet scan partway, resume,

@@ -147,15 +147,14 @@ type Validator struct {
 type Option func(*config)
 
 type config struct {
-	manifest    *cvl.Manifest
-	reader      cvl.FileReader
-	registry    *lens.Registry
-	crawlOpt    crawler.Options
-	extended    bool
-	telemetry   *telemetry.Collector
-	faults      *faults.Injector
-	parseCache  *crawler.ParseCache
-	parallelism int
+	manifest   *cvl.Manifest
+	reader     cvl.FileReader
+	registry   *lens.Registry
+	crawlOpt   crawler.Options
+	extended   bool
+	telemetry  *telemetry.Collector
+	faults     *faults.Injector
+	parseCache *crawler.ParseCache
 }
 
 // WithManifest uses a custom manifest and rule-file reader instead of the
@@ -207,14 +206,13 @@ func WithFaults(inj *FaultInjector) Option {
 	return func(c *config) { c.faults = inj }
 }
 
-// WithParallelism bounds the engine's intra-entity worker pool: manifest
-// entries are prepared concurrently and independent non-composite rules
-// evaluate concurrently, with results gathered into the same deterministic
-// report order as a serial run. 0 (the default) uses GOMAXPROCS; 1 keeps
-// the serial path. This composes with FleetOptions.Workers: fleet workers
-// parallelize across entities, this option parallelizes within one.
+// WithParallelism is ignored: one entity validates on one goroutine, and
+// concurrency comes from FleetOptions.Workers across entities and from the
+// HTTP server's request admission.
+//
+// Deprecated: n has no effect; size concurrency with FleetOptions.Workers.
 func WithParallelism(n int) Option {
-	return func(c *config) { c.parallelism = n }
+	return func(*config) {}
 }
 
 // WithParseCache attaches a content-addressed parse cache: identical file
@@ -272,15 +270,7 @@ func New(opts ...Option) (*Validator, error) {
 		}
 		c.crawlOpt.Cache = c.parseCache
 	}
-	engOpts := engine.Options{Parallelism: c.parallelism}
-	if c.parseCache != nil {
-		// With a parse cache, identical file content across entities
-		// shares one parsed Result — which also makes tree/schema rule
-		// verdicts content-addressable, so turn on the engine's verdict
-		// memo (pure overhead without the cache).
-		engOpts.EvalCacheSize = -1
-	}
-	eng := engine.NewWithOptions(crawler.New(c.registry, c.crawlOpt), engOpts)
+	eng := engine.New(crawler.New(c.registry, c.crawlOpt))
 	eng.SetFaults(c.faults)
 	return &Validator{
 		manifest:  c.manifest,
