@@ -16,11 +16,12 @@ race:
 	$(GO) test -race ./...
 
 # Core-count parity: the packages whose behaviour depends on how many
-# goroutines run at once (fleet workers and retries, the engine's shared
-# verdict memo, the server's breaker, the journal) must pass single-core
-# and multi-core alike, whatever core count the builder has.
+# goroutines run at once (fleet workers and retries, the parse cache the
+# workers share, the engine's shared verdict memo, the server's breaker,
+# the journal) must pass single-core and multi-core alike, whatever core
+# count the builder has.
 cpu-parity:
-	$(GO) test -count=1 -cpu 1,4 . ./internal/engine ./internal/server ./internal/journal
+	$(GO) test -count=1 -cpu 1,4 . ./internal/crawler ./internal/engine ./internal/server ./internal/journal
 
 # Static checks: cvlint over the embedded rule library, gofmt, and vet.
 lint:

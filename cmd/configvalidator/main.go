@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -84,14 +85,11 @@ func run(args []string, out io.Writer) error {
 
 	// With -checkpoint, an unchanged entity replays its journaled report
 	// instead of re-scanning (idempotent re-validation); a changed or
-	// never-seen one scans and appends.
-	var (
-		report *configvalidator.Report
-		jrnl   *configvalidator.Journal
-		digest string
-	)
+	// never-seen one scans and appends. The fleet scan's journal protocol
+	// digests the same observation it validates.
+	var report *configvalidator.Report
 	if *ckpt != "" {
-		jrnl, err = configvalidator.OpenJournal(*ckpt, configvalidator.JournalOptions{
+		jrnl, err := configvalidator.OpenJournal(*ckpt, configvalidator.JournalOptions{
 			OnDegraded: func(derr error) {
 				fmt.Fprintf(os.Stderr, "configvalidator: checkpoint journal degraded, result not persisted (validation continues): %v\n", derr)
 			},
@@ -100,32 +98,27 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		defer func() { _ = jrnl.Close() }()
-		if d, derr := v.ConfigDigest(ent, *target); derr == nil {
-			digest = d
-			if rec, ok := jrnl.Lookup(ent.Name(), d); ok {
-				report = rec.Report.Report()
-				fmt.Fprintf(os.Stderr, "configvalidator: %s unchanged, replaying journaled result\n", ent.Name())
-			}
+		ents := make(chan configvalidator.Entity, 1)
+		ents <- ent
+		close(ents)
+		res := <-v.ValidateFleet(context.Background(), ents, configvalidator.FleetOptions{
+			Workers: 1, Target: *target, Journal: jrnl,
+			Logf: func(format string, args ...any) { fmt.Fprintf(os.Stderr, "configvalidator: "+format+"\n", args...) },
+		})
+		if res.Err != nil {
+			return res.Err
 		}
+		if res.Resumed {
+			fmt.Fprintf(os.Stderr, "configvalidator: %s unchanged, replaying journaled result\n", ent.Name())
+		}
+		report = res.Report
+	} else if *target != "" {
+		report, err = v.ValidateTarget(ent, *target)
+	} else {
+		report, err = v.Validate(ent)
 	}
-	if report == nil {
-		if *target != "" {
-			report, err = v.ValidateTarget(ent, *target)
-		} else {
-			report, err = v.Validate(ent)
-		}
-		if err != nil {
-			return err
-		}
-		if jrnl != nil {
-			if aerr := jrnl.Append(configvalidator.JournalRecord{
-				Entity: ent.Name(),
-				Digest: digest,
-				Report: configvalidator.NewJournalReport(report),
-			}); aerr != nil {
-				fmt.Fprintln(os.Stderr, "configvalidator: checkpoint append:", aerr)
-			}
-		}
+	if err != nil {
+		return err
 	}
 
 	outOpts := configvalidator.OutputOptions{

@@ -4,7 +4,8 @@ package configvalidator
 // identical inputs produce byte-identical reports regardless of how the
 // work is scheduled. Every fixture entity is validated once on a plain
 // Validator for a baseline, then through a cold and a warm parse cache, and
-// through ValidateFleet at Workers 1 and 8 over one shared parse cache;
+// through ValidateFleet at Workers 1 and 8 over one shared parse cache,
+// once with the default cache and once with a 1-entry cache that evicts;
 // every run must render the same text, JSON, and JUnit bytes. A seeded
 // shuffle of the manifest entries then shows that report ordering is a
 // function of the manifest, not of goroutine scheduling.
@@ -76,10 +77,6 @@ func TestDeterminismAcrossSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cachedV, err := New(WithParseCache(NewParseCache(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ents := determinismEntities(t)
 	want := make(map[string]map[string][]byte, len(ents))
 	for _, ent := range ents {
@@ -88,7 +85,26 @@ func TestDeterminismAcrossSchedules(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[ent.Name()] = renderAll(t, rep)
+	}
 
+	// The default cache holds every parse; the 1-entry cache evicts
+	// between files and entities, so the verdict memo, keyed on content,
+	// keeps hitting for configs whose parses the cache no longer holds.
+	for _, capacity := range []int{0, 1} {
+		t.Run(fmt.Sprintf("cache%d", capacity), func(t *testing.T) {
+			checkCachedSchedules(t, ents, want, capacity)
+		})
+	}
+}
+
+// checkCachedSchedules compares every entity's reports through a parse
+// cache of the given capacity (<= 0 is the default) with want.
+func checkCachedSchedules(t *testing.T, ents []Entity, want map[string]map[string][]byte, capacity int) {
+	cachedV, err := New(WithParseCache(NewParseCache(capacity)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
 		// First pass through cachedV populates the cache for this entity
 		// (cold), the second is served from it (warm); both must match.
 		for _, label := range []string{"cache-cold", "cache-warm"} {
@@ -99,13 +115,17 @@ func TestDeterminismAcrossSchedules(t *testing.T) {
 			sameRenderings(t, label, rep, want[ent.Name()])
 		}
 	}
-	if stats := cachedV.ParseCacheStats(); stats.Hits == 0 {
+	stats := cachedV.ParseCacheStats()
+	if capacity == 1 && stats.Evictions == 0 {
+		t.Error("the 1-entry cache recorded no evictions — the evicting variant tested nothing")
+	}
+	if capacity != 1 && stats.Hits == 0 {
 		t.Error("warm cache passes recorded no hits — the cached variant tested nothing")
 	}
 
 	// The fleet schedule: one worker, then eight racing over the parse
 	// cache and verdict memo the first run filled.
-	fleetV, err := New(WithParseCache(NewParseCache(0)))
+	fleetV, err := New(WithParseCache(NewParseCache(capacity)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +143,7 @@ func TestDeterminismAcrossSchedules(t *testing.T) {
 			t.Fatalf("%s: %d results, want %d", label, n, len(ents))
 		}
 	}
-	if stats := fleetV.ParseCacheStats(); stats.Hits == 0 {
+	if stats := fleetV.ParseCacheStats(); capacity != 1 && stats.Hits == 0 {
 		t.Error("the second fleet run recorded no parse-cache hits")
 	}
 }

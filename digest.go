@@ -6,8 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
+	"configvalidator/internal/crawler"
 	"configvalidator/internal/cvl"
 	"configvalidator/internal/entity"
 )
@@ -20,7 +21,9 @@ import (
 // the entity's runtime features. Two entities with equal digests validate
 // to byte-identical reports, which is what lets a resumed or re-run fleet
 // scan replay a journaled result instead of re-scanning (see
-// FleetOptions.Journal).
+// FleetOptions.Journal). A journaled fleet scan computes this digest from
+// the same observation of the entity's files that it then validates, so a
+// journaled digest always names the bytes its report judged.
 //
 // Known digest blind spots, accepted for cheapness: runtime feature
 // *outputs* are not executed (only the feature list participates), and
@@ -37,18 +40,19 @@ func (v *Validator) ConfigDigest(e Entity, target string) (dig string, err error
 			err = fmt.Errorf("configvalidator: digest %s: panic: %v", e.Name(), r)
 		}
 	}()
-
-	var entries []*cvl.ManifestEntry
-	if target == "" {
-		entries = v.manifest.EnabledEntries()
-	} else {
-		entry, ok := v.manifest.Entry(target)
-		if !ok {
-			return "", fmt.Errorf("configvalidator: %w: %q", ErrUnknownTarget, target)
-		}
-		entries = []*cvl.ManifestEntry{entry}
+	entries, err := v.targetEntries(target)
+	if err != nil {
+		return "", err
 	}
+	roots := searchPathUnion(entries)
+	return v.digest(crawler.Observe(e, roots), entries, roots)
+}
 
+// digest hashes an observation of the entity for the manifest entries
+// whose sorted, distinct search paths are roots (see ConfigDigest). It
+// does not recover panics: a panicking Walk fails the scan it is part of.
+func (v *Validator) digest(obs *crawler.Observation, entries []*cvl.ManifestEntry, roots []string) (string, error) {
+	e := obs.Entity()
 	h := sha256.New()
 	io.WriteString(h, "cvdigest/1\x00")
 
@@ -69,31 +73,28 @@ func (v *Validator) ConfigDigest(e Entity, target string) (dig string, err error
 	}
 
 	// Config files: metadata and content of everything under the union of
-	// the entries' search paths. Roots absent from the entity contribute
-	// nothing (their absence is itself part of the digest via omission of
-	// their files); any other walk or read failure aborts the digest — a
-	// half-observed entity must not replay.
-	for _, root := range searchPathUnion(entries) {
+	// the entries' search paths, per root in walk order, so a file under
+	// two overlapping roots counts twice. Roots absent from the entity
+	// contribute nothing (their absence is itself part of the digest via
+	// omission of their files); any other walk or read failure aborts the
+	// digest — a half-observed entity must not replay.
+	for _, root := range roots {
 		io.WriteString(h, "root\x00"+root+"\x00")
-		werr := e.Walk(root, func(fi entity.FileInfo) error {
+		files, werr := obs.Walk(root)
+		if werr != nil && !errors.Is(werr, entity.ErrNotExist) {
+			return "", fmt.Errorf("configvalidator: digest %s: %w", e.Name(), werr)
+		}
+		for _, fi := range files {
 			fmt.Fprintf(h, "f\x00%s\x00%d\x00%o\x00%d\x00%d\x00%d\x00",
 				fi.Path, fi.Size, uint32(fi.Mode), fi.UID, fi.GID, fi.ModTime.UnixNano())
 			if fi.IsDir() {
-				return nil
-			}
-			data, rerr := e.ReadFile(fi.Path)
-			if rerr != nil {
-				return fmt.Errorf("read %s: %w", fi.Path, rerr)
-			}
-			sum := sha256.Sum256(data)
-			h.Write(sum[:])
-			return nil
-		})
-		if werr != nil {
-			if errors.Is(werr, entity.ErrNotExist) {
 				continue
 			}
-			return "", fmt.Errorf("configvalidator: digest %s: %w", e.Name(), werr)
+			sum, rerr := obs.Sum(fi.Path)
+			if rerr != nil {
+				return "", fmt.Errorf("configvalidator: digest %s: %w", e.Name(), rerr)
+			}
+			h.Write(sum[:])
 		}
 	}
 
@@ -111,6 +112,19 @@ func (v *Validator) ConfigDigest(e Entity, target string) (dig string, err error
 	}
 
 	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// targetEntries returns the manifest entries a scan of target covers: the
+// enabled entries for an empty target, else the named entry.
+func (v *Validator) targetEntries(target string) ([]*cvl.ManifestEntry, error) {
+	if target == "" {
+		return v.manifest.EnabledEntries(), nil
+	}
+	entry, ok := v.manifest.Entry(target)
+	if !ok {
+		return nil, fmt.Errorf("configvalidator: %w: %q", ErrUnknownTarget, target)
+	}
+	return []*cvl.ManifestEntry{entry}, nil
 }
 
 // ruleFileFingerprint hashes one rule file's content, memoized — the rule
@@ -138,16 +152,14 @@ func (v *Validator) ruleFileFingerprint(path string) (string, error) {
 // searchPathUnion returns the sorted, deduplicated config search paths of
 // the entries.
 func searchPathUnion(entries []*cvl.ManifestEntry) []string {
-	seen := make(map[string]bool)
-	var roots []string
+	n := 0
 	for _, entry := range entries {
-		for _, p := range entry.ConfigSearchPaths {
-			if !seen[p] {
-				seen[p] = true
-				roots = append(roots, p)
-			}
-		}
+		n += len(entry.ConfigSearchPaths)
 	}
-	sort.Strings(roots)
-	return roots
+	roots := make([]string, 0, n)
+	for _, entry := range entries {
+		roots = append(roots, entry.ConfigSearchPaths...)
+	}
+	slices.Sort(roots)
+	return slices.Compact(roots)
 }

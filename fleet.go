@@ -52,6 +52,11 @@ type FleetResult struct {
 	// re-scan this entity. Summarize tallies these so a degraded run is
 	// visible in the summary, not silently less durable.
 	JournalDegraded bool
+
+	// digest is the config digest of the observation a journaled scan
+	// validated, journaled with the report; empty when it could not be
+	// computed.
+	digest string
 }
 
 // Scheduler is the execution-substrate seam for fleet validation: it
@@ -229,33 +234,25 @@ func (localScheduler) Schedule(ctx context.Context, v *Validator, entities <-cha
 // record replays it instead of re-scanning; every other outcome is
 // appended to the journal as it completes.
 func (v *Validator) scanJournaled(ctx context.Context, ent Entity, opts FleetOptions) FleetResult {
-	if opts.Journal == nil {
-		res := v.scanOne(ctx, ent, opts)
-		res.Entity = ent.Name()
-		return res
-	}
-	digest, derr := v.safeConfigDigest(ctx, ent, opts)
-	if derr == nil {
-		if rec, ok := opts.Journal.Lookup(ent.Name(), digest); ok {
-			v.telemetry.JournalEntitySkipped()
-			return FleetResult{Entity: ent.Name(), Report: rec.Report.Report(), Resumed: true}
-		}
-	}
 	res := v.scanOne(ctx, ent, opts)
 	res.Entity = ent.Name()
+	if res.Resumed {
+		v.telemetry.JournalEntitySkipped()
+	}
+	if opts.Journal == nil || res.Resumed {
+		return res
+	}
 	rec := journal.Record{Entity: ent.Name()}
 	if res.Err != nil {
 		// Failed scans are journaled digest-less: audit-only records that a
 		// resumed run re-scans.
 		rec.Err = res.Err.Error()
 	} else {
-		rec.Report = journal.NewReportRecord(res.Report)
 		// An entity whose digest could not be computed still journals its
 		// report (for merging and drift), but without a digest it can never
 		// satisfy a resume Lookup.
-		if derr == nil {
-			rec.Digest = digest
-		}
+		rec.Report = journal.NewReportRecord(res.Report)
+		rec.Digest = res.digest
 	}
 	// An append failure (disk full) must not fail the scan: the result is
 	// still delivered in-memory. But it must not be silent either — count
@@ -272,37 +269,7 @@ func (v *Validator) scanJournaled(ctx context.Context, ent Entity, opts FleetOpt
 	return res
 }
 
-// safeConfigDigest bounds ConfigDigest by the scan deadline — a hung
-// entity must not stall the resume check any more than it may stall a
-// scan. As in scanAttempt, an abandoned digest goroutine is left to finish
-// on its own.
-func (v *Validator) safeConfigDigest(ctx context.Context, ent Entity, opts FleetOptions) (string, error) {
-	if opts.ScanTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.ScanTimeout)
-		defer cancel()
-	}
-	if ctx.Done() == nil {
-		return v.ConfigDigest(ent, opts.Target)
-	}
-	type outcome struct {
-		digest string
-		err    error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		d, err := v.ConfigDigest(ent, opts.Target)
-		done <- outcome{digest: d, err: err}
-	}()
-	select {
-	case out := <-done:
-		return out.digest, out.err
-	case <-ctx.Done():
-		return "", fmt.Errorf("digest %s: %w", ent.Name(), context.Cause(ctx))
-	}
-}
-
-// scanOne validates one entity under the fleet's robustness policy:
+// scanOne scans one entity under the fleet's robustness policy:
 // per-attempt deadline, panic isolation, and bounded retry with
 // decorrelated-jitter backoff for transient failures.
 func (v *Validator) scanOne(ctx context.Context, ent Entity, opts FleetOptions) FleetResult {
@@ -313,12 +280,12 @@ func (v *Validator) scanOne(ctx context.Context, ent Entity, opts FleetOptions) 
 	backoff := base
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		rep, err := v.scanAttempt(ctx, ent, opts.Target, opts.ScanTimeout)
-		if err == nil {
-			return FleetResult{Report: rep}
+		res := v.scanAttempt(ctx, ent, opts)
+		if res.Err == nil {
+			return res
 		}
-		lastErr = err
-		if attempt >= opts.Retries || !Transient(err) || ctx.Err() != nil {
+		lastErr = res.Err
+		if attempt >= opts.Retries || !Transient(lastErr) || ctx.Err() != nil {
 			break
 		}
 		v.telemetry.RetryScheduled()
@@ -334,60 +301,50 @@ func (v *Validator) scanOne(ctx context.Context, ent Entity, opts FleetOptions) 
 	return FleetResult{Err: fmt.Errorf("scan %s: %w", ent.Name(), lastErr)}
 }
 
-// scanAttempt runs a single validation attempt with panic recovery and an
-// optional deadline. Without a deadline (and with an uncancellable
-// context) it runs inline; otherwise the validation runs in a goroutine
-// that is abandoned if the deadline fires first.
-func (v *Validator) scanAttempt(ctx context.Context, ent Entity, target string, timeout time.Duration) (*Report, error) {
+// scanAttempt runs a single scan attempt with panic recovery and an
+// optional deadline (opts.ScanTimeout). Without a deadline (and with an
+// uncancellable context) it runs inline; otherwise the scan runs in a
+// goroutine that is abandoned if the deadline fires first.
+func (v *Validator) scanAttempt(ctx context.Context, ent Entity, opts FleetOptions) FleetResult {
+	timeout := opts.ScanTimeout
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
 	if ctx.Done() == nil {
-		return v.safeValidate(ent, target)
+		return v.safeScan(ent, opts.Target, opts.Journal)
 	}
 	start := time.Now()
-	type outcome struct {
-		rep *Report
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		rep, err := v.safeValidate(ent, target)
-		done <- outcome{rep: rep, err: err}
-	}()
+	done := make(chan FleetResult, 1)
+	go func() { done <- v.safeScan(ent, opts.Target, opts.Journal) }()
 	select {
-	case out := <-done:
-		return out.rep, out.err
+	case res := <-done:
+		return res
 	case <-ctx.Done():
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			v.telemetry.ScanTimedOut(time.Since(start))
-			return nil, fmt.Errorf("%w (after %v)", ErrScanTimeout, timeout)
+			return FleetResult{Err: fmt.Errorf("%w (after %v)", ErrScanTimeout, timeout)}
 		}
 		// Cancelled, not expired: surface the cancellation *cause* so a
 		// coordinator-revoked lease (ErrLeaseRevoked) classifies as revoked
 		// rather than blending into user cancellation.
-		return nil, context.Cause(ctx)
+		return FleetResult{Err: context.Cause(ctx)}
 	}
 }
 
-// safeValidate is one validation attempt with panic isolation: a panic in
-// a crawler, lens, or rule evaluation becomes a *PanicError carrying the
+// safeScan is one scan attempt with panic isolation: a panic in an entity,
+// crawler, lens, or rule evaluation becomes a *PanicError carrying the
 // stack instead of killing the fleet run.
-func (v *Validator) safeValidate(ent Entity, target string) (rep *Report, err error) {
+func (v *Validator) safeScan(ent Entity, target string, j *Journal) (res FleetResult) {
 	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
 			v.telemetry.ScanPanicked(time.Since(start))
-			rep = nil
-			err = &engine.PanicError{Value: r, Stack: debug.Stack()}
+			res = FleetResult{Err: &engine.PanicError{Value: r, Stack: debug.Stack()}}
 		}
 	}()
-	if target != "" {
-		return v.ValidateTarget(ent, target)
-	}
-	return v.Validate(ent)
+	return v.scan(ent, target, j)
 }
 
 // Scan-error kinds, the keys of FleetSummary.ErrorsByKind.

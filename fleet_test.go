@@ -709,7 +709,8 @@ func TestScanAbandonedCounted(t *testing.T) {
 
 // TestValidateFleetJournalResume is the library-level resume contract: a
 // second run over an unchanged fleet with the same journal replays every
-// report byte-identically, re-scans nothing, and counts each skip.
+// report byte-identically, re-scans nothing, and counts each skip, but
+// no replay as a scan.
 func TestValidateFleetJournalResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fleet.cvj")
 	collector := NewCollector()
@@ -736,6 +737,7 @@ func TestValidateFleetJournalResume(t *testing.T) {
 	if err := j1.Close(); err != nil {
 		t.Fatal(err)
 	}
+	scans := collector.Snapshot().Scans
 
 	j2, err := OpenJournal(path, JournalOptions{Metrics: collector})
 	if err != nil {
@@ -761,6 +763,9 @@ func TestValidateFleetJournalResume(t *testing.T) {
 	}
 	if got := collector.Snapshot().JournalSkippedEntities; got != n {
 		t.Errorf("JournalSkippedEntities = %d, want %d", got, n)
+	}
+	if got := collector.Snapshot().Scans; got != scans {
+		t.Errorf("Scans = %d after the replay run, want %d: a replay is not a scan", got, scans)
 	}
 }
 

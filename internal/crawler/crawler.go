@@ -6,7 +6,6 @@
 package crawler
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sort"
@@ -35,9 +34,6 @@ type FileConfig struct {
 type Options struct {
 	// MaxFileSize skips files larger than this many bytes (0 = 16 MiB).
 	MaxFileSize int64
-	// IncludeUnrecognized records files with no matching lens (with a nil
-	// Result); by default they are skipped silently.
-	IncludeUnrecognized bool
 	// Faults arms fault injection on lens parsing (faults.OpParse). Nil —
 	// the production default — is inert and costs one nil check.
 	Faults *faults.Injector
@@ -71,10 +67,17 @@ func (c *Crawler) Registry() *lens.Registry { return c.registry }
 // Cache exposes the shared parse cache, or nil when the crawler has none.
 func (c *Crawler) Cache() *ParseCache { return c.opts.Cache }
 
-// CrawlPaths walks each search path on the entity and normalizes every
-// recognized configuration file. Missing search paths are skipped (an
-// entity without /etc/mysql simply has no MySQL configuration). Files are
-// returned sorted by path, deduplicated across overlapping search paths.
+// CrawlPaths crawls searchPaths on a fresh observation of the entity; see
+// Crawl.
+func (c *Crawler) CrawlPaths(e entity.Entity, searchPaths []string) ([]*FileConfig, error) {
+	return c.Crawl(Observe(e, searchPaths), searchPaths)
+}
+
+// Crawl normalizes every recognized configuration file the observation
+// sees under searchPaths. Missing search paths are skipped (an entity
+// without /etc/mysql simply has no MySQL configuration). Files are
+// returned sorted by path, deduplicated across overlapping search paths;
+// files no lens recognizes are skipped unread.
 //
 // Failure granularity: a per-file problem (unreadable, oversized, or
 // unparseable content, including a panicking lens) degrades that one
@@ -82,38 +85,31 @@ func (c *Crawler) Cache() *ParseCache { return c.opts.Cache }
 // an entity-access failure (unreachable layer, flaky backend) and aborts
 // with an error so the fleet's transient-retry policy can decide whether
 // to re-scan the whole entity.
-func (c *Crawler) CrawlPaths(e entity.Entity, searchPaths []string) ([]*FileConfig, error) {
+func (c *Crawler) Crawl(o *Observation, searchPaths []string) ([]*FileConfig, error) {
 	seen := make(map[string]bool)
 	var out []*FileConfig
 	for _, root := range searchPaths {
-		err := e.Walk(root, func(fi entity.FileInfo) error {
+		files, err := o.Walk(root)
+		if err != nil && !errors.Is(err, entity.ErrNotExist) {
+			return nil, fmt.Errorf("crawl %s: %w", root, err)
+		}
+		for _, fi := range files {
 			if seen[fi.Path] || fi.IsDir() {
-				return nil
-			}
-			seen[fi.Path] = true
-			fc := c.crawlFile(e, fi)
-			if fc != nil {
-				out = append(out, fc)
-			}
-			return nil
-		})
-		if err != nil {
-			if errors.Is(err, entity.ErrNotExist) {
 				continue
 			}
-			return nil, fmt.Errorf("crawl %s: %w", root, err)
+			seen[fi.Path] = true
+			if fc := c.crawlFile(o, fi); fc != nil {
+				out = append(out, fc)
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out, nil
 }
 
-func (c *Crawler) crawlFile(e entity.Entity, fi entity.FileInfo) *FileConfig {
+func (c *Crawler) crawlFile(o *Observation, fi entity.FileInfo) *FileConfig {
 	l, ok := c.registry.ForFile(fi.Path)
 	if !ok {
-		if c.opts.IncludeUnrecognized {
-			return &FileConfig{Path: fi.Path, Info: fi}
-		}
 		return nil
 	}
 	fc := &FileConfig{Path: fi.Path, LensName: l.Name(), Info: fi}
@@ -121,23 +117,24 @@ func (c *Crawler) crawlFile(e entity.Entity, fi entity.FileInfo) *FileConfig {
 		fc.Err = fmt.Errorf("crawler: %s: file size %d exceeds limit %d", fi.Path, fi.Size, c.opts.MaxFileSize)
 		return fc
 	}
-	c.readAndParse(e, fi, l, fc)
+	c.readAndParse(o, fi, l, fc)
 	return fc
 }
 
-// readAndParse fills fc from the entity. It is isolated per file: a
-// panicking ReadFile or lens — a corrupt input hitting a parser bug —
-// degrades this one file (fc.Err) instead of aborting the entity scan.
-func (c *Crawler) readAndParse(e entity.Entity, fi entity.FileInfo, l lens.Lens, fc *FileConfig) {
+// readAndParse fills fc from the observation. It is isolated per file: a
+// panicking lens — a corrupt input hitting a parser bug — degrades this
+// one file (fc.Err) instead of aborting the entity scan, as the
+// observation does for a panicking ReadFile.
+func (c *Crawler) readAndParse(o *Observation, fi entity.FileInfo, l lens.Lens, fc *FileConfig) {
 	defer func() {
 		if r := recover(); r != nil {
 			fc.Result = nil
 			fc.Err = fmt.Errorf("crawler: %s: read/parse panicked: %v", fi.Path, r)
 		}
 	}()
-	content, err := e.ReadFile(fi.Path)
+	content, err := o.Read(fi.Path)
 	if err != nil {
-		fc.Err = fmt.Errorf("crawler: read %s: %w", fi.Path, err)
+		fc.Err = err
 		return
 	}
 	// Fault injection is consulted before the cache so chaos drills hit
@@ -147,7 +144,7 @@ func (c *Crawler) readAndParse(e entity.Entity, fi entity.FileInfo, l lens.Lens,
 		return
 	}
 	if c.opts.Cache != nil {
-		sum := sha256.Sum256(content)
+		sum, _ := o.Sum(fi.Path) // the read above succeeded, so Sum cannot fail
 		if res, ok := c.opts.Cache.get(l.Name(), fi.Path, sum); ok {
 			fc.Result = res
 			return

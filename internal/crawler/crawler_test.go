@@ -84,23 +84,6 @@ func TestCrawlSortedOutput(t *testing.T) {
 	}
 }
 
-func TestCrawlIncludeUnrecognized(t *testing.T) {
-	c := New(nil, Options{IncludeUnrecognized: true})
-	configs, err := c.CrawlPaths(testEntity(), []string{"/etc"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, fc := range configs {
-		if fc.Path == "/etc/motd" && fc.Result == nil && fc.Err == nil {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("unrecognized file not included")
-	}
-}
-
 func TestCrawlMaxFileSize(t *testing.T) {
 	m := entity.NewMem("h", entity.TypeHost)
 	m.AddFile("/etc/sysctl.conf", []byte(strings.Repeat("net.ipv4.ip_forward = 0\n", 100)))

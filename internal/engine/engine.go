@@ -28,8 +28,8 @@ type Engine struct {
 // New creates an engine. A nil crawler gets default options and the default
 // lens registry. When the crawler shares a parse cache (crawler.Options.Cache)
 // the engine also memoizes tree, schema and script verdicts (see
-// evalcache.go); without one no config signature ever repeats, so the memo
-// stays off.
+// evalcache.go); without one the crawl hashes no file, so the memo stays
+// off.
 func New(c *crawler.Crawler) *Engine {
 	if c == nil {
 		c = crawler.New(nil, crawler.Options{})
@@ -122,14 +122,18 @@ func (s *CachedSource) Resolve(path string) ([]*cvl.Rule, error) {
 // the report. Rule files are resolved through read (with inheritance).
 // Composite rules are evaluated last, over the per-entity outcomes.
 func (e *Engine) Validate(ent entity.Entity, manifest *cvl.Manifest, read cvl.FileReader) (*Report, error) {
-	return e.ValidateWithSource(ent, manifest, readerSource{read: read})
+	return e.ValidateWithSource(crawler.Observe(ent, nil), manifest, readerSource{read: read})
 }
 
-// ValidateWithSource is Validate with a caller-controlled rule source
-// (typically a CachedSource shared across a fleet scan). Entries run in
-// manifest order, so the report order is a function of the manifest alone;
-// the first entry that cannot be prepared aborts the validation.
-func (e *Engine) ValidateWithSource(ent entity.Entity, manifest *cvl.Manifest, src RuleSource) (*Report, error) {
+// ValidateWithSource is Validate over an observation of the entity, with a
+// caller-controlled rule source (typically a CachedSource shared across a
+// fleet scan). Every entry crawls the one observation, so the report judges
+// exactly the files the caller observed (and, for a journaled scan,
+// digested). Entries run in manifest order, so the report order is a
+// function of the manifest alone; the first entry that cannot be prepared
+// aborts the validation.
+func (e *Engine) ValidateWithSource(obs *crawler.Observation, manifest *cvl.Manifest, src RuleSource) (*Report, error) {
+	ent := obs.Entity()
 	report := &Report{EntityName: ent.Name(), EntityType: ent.Type().String()}
 	runs := make(map[string]*entityRun)
 	var order []string
@@ -143,7 +147,7 @@ func (e *Engine) ValidateWithSource(ent entity.Entity, manifest *cvl.Manifest, s
 		rules, err := src.Resolve(entry.CVLFile)
 		var run *entityRun
 		if err == nil {
-			run, err = e.prepareRun(ent, entry, cvl.FilterByTags(rules, entry.Tags))
+			run, err = e.prepareRun(obs, entry, cvl.FilterByTags(rules, entry.Tags))
 		}
 		if err != nil {
 			return nil, fmt.Errorf("engine: entity %s: %w", entry.Name, err)
@@ -177,14 +181,15 @@ func (e *Engine) ValidateWithSource(ent entity.Entity, manifest *cvl.Manifest, s
 // entry, seeding the run's results with degraded findings for configuration
 // files that could not be read or parsed: the scan continues, but those
 // files' checks cannot be trusted on this pass.
-func (e *Engine) prepareRun(ent entity.Entity, entry *cvl.ManifestEntry, rules []*cvl.Rule) (*entityRun, error) {
-	configs, err := e.crawler.CrawlPaths(ent, entry.ConfigSearchPaths)
+func (e *Engine) prepareRun(obs *crawler.Observation, entry *cvl.ManifestEntry, rules []*cvl.Rule) (*entityRun, error) {
+	configs, err := e.crawler.Crawl(obs, entry.ConfigSearchPaths)
 	if err != nil {
 		return nil, err
 	}
+	ent := obs.Entity()
 	run := &entityRun{rules: cvl.FilterByEntityType(rules, ent.Type().String()), configs: configs}
 	if e.memo != nil {
-		run.verdicts = e.memo.forSig(configSig(configs))
+		run.verdicts = e.memo.forSig(configSig(obs, configs))
 	}
 	for _, fc := range configs {
 		if fc.Err != nil {
@@ -205,7 +210,7 @@ func (e *Engine) prepareRun(ent entity.Entity, entry *cvl.ManifestEntry, rules [
 // benchmark harness (no manifest, no composites).
 func (e *Engine) ValidateRules(ent entity.Entity, rules []*cvl.Rule, searchPaths []string) (*Report, error) {
 	entry := &cvl.ManifestEntry{Name: "default", Enabled: true, ConfigSearchPaths: searchPaths}
-	run, err := e.prepareRun(ent, entry, rules)
+	run, err := e.prepareRun(crawler.Observe(ent, searchPaths), entry, rules)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}

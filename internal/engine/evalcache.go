@@ -2,7 +2,6 @@ package engine
 
 import (
 	"crypto/sha256"
-	"strconv"
 	"sync"
 
 	"configvalidator/internal/crawler"
@@ -11,17 +10,15 @@ import (
 
 // The evaluation memo extends content-addressing from parsing to verdicts:
 // tree and schema rules are pure functions of (rule, normalized configs),
-// so when the parse cache makes two entities' configs literally the same
-// Results, the rule outcome is provably identical and the evaluation can
-// be skipped. Path and script rules read entity state (file metadata,
-// runtime features) that the config signature does not capture, and
-// composites read other rules' per-entity outcomes; none of those are
-// memoized.
+// so when two entities' configs have the same paths and content, the rule
+// outcome is provably identical and the evaluation can be skipped. Path and
+// script rules read entity state (file metadata, runtime features) that the
+// config signature does not capture, and composites read other rules'
+// per-entity outcomes; none of those are memoized.
 //
-// Only worth enabling together with a crawler.ParseCache — without one,
-// every scan allocates fresh Results, no signature ever repeats, and the
-// memo is pure overhead. New therefore enables it exactly when the crawler
-// has a parse cache.
+// The signature needs the SHA-256 of every crawled file, which a crawl
+// computes anyway for its parse-cache keys and otherwise would not. New
+// therefore enables the memo exactly when the crawler has a parse cache.
 
 // evalMemoCap bounds the number of memoized verdicts.
 const evalMemoCap = 1 << 16
@@ -102,33 +99,33 @@ func memoizable(rule *cvl.Rule) bool {
 	return rule.Type == cvl.TypeTree || rule.Type == cvl.TypeSchema
 }
 
-// configSig fingerprints a config set by each file's path, parse identity
-// (the Result UID — stable for cache-shared Results, never reused), and
-// error text. Two entities with equal signatures present rule evaluation
-// with indistinguishable input. The fingerprint is folded to a SHA-256
-// digest so map lookups hash 32 bytes per rule instead of the full
-// manifest payload. An empty set gets a constant marker: "this entry
-// crawled nothing" is itself content, and the resulting not-applicable
-// verdicts are the most common outcome in a heterogeneous fleet (most
-// images don't carry most applications).
-func configSig(configs []*crawler.FileConfig) string {
+// configSig fingerprints a config set by each file's path and the SHA-256
+// of its observed content, or its error text. The lens is a function of the
+// path, and a lens a function of (path, content), so two entities with
+// equal signatures present rule evaluation with indistinguishable input —
+// whether or not the parse cache still holds, or ever held, their parse.
+// The fingerprint is folded to a SHA-256 digest so map lookups hash 32
+// bytes per rule instead of the full manifest payload. An empty set gets a
+// constant marker: "this entry crawled nothing" is itself content, and the
+// resulting not-applicable verdicts are the most common outcome in a
+// heterogeneous fleet (most images don't carry most applications).
+func configSig(obs *crawler.Observation, configs []*crawler.FileConfig) string {
 	if len(configs) == 0 {
 		return "\x00empty"
 	}
 	h := sha256.New()
-	var buf [24]byte
 	for _, fc := range configs {
 		h.Write([]byte(fc.Path))
-		buf[0] = 0
-		h.Write(buf[:1])
 		if fc.Err != nil {
-			h.Write([]byte{'E'})
+			h.Write([]byte{0, 'E'})
 			h.Write([]byte(fc.Err.Error()))
-		} else if fc.Result != nil {
-			h.Write(strconv.AppendUint(buf[:0], fc.Result.UID(), 36))
+		} else {
+			// The crawl read this file, so Sum cannot fail.
+			sum, _ := obs.Sum(fc.Path)
+			h.Write([]byte{0, 'S'})
+			h.Write(sum[:])
 		}
-		buf[0] = 1
-		h.Write(buf[:1])
+		h.Write([]byte{1})
 	}
 	return string(h.Sum(nil))
 }

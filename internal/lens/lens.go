@@ -15,7 +15,6 @@ import (
 	"path"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"configvalidator/internal/configtree"
 	"configvalidator/internal/schema"
@@ -60,28 +59,6 @@ type Result struct {
 	// fleet-wide instead of once per entity.
 	findMu   sync.RWMutex
 	findMemo map[string][]*configtree.Node
-
-	// uid is the lazily assigned process-unique identity, see UID.
-	uid atomic.Uint64
-}
-
-// resultUID is the source of Result identities; 0 is reserved for
-// "unassigned".
-var resultUID atomic.Uint64
-
-// UID returns a process-unique identity for this result, assigned on first
-// use. Memoization layers key on it instead of the pointer value: unlike an
-// address, a UID is never reused after the result is garbage collected, so
-// a stale memo entry can never be mistaken for a new parse.
-func (r *Result) UID() uint64 {
-	if v := r.uid.Load(); v != 0 {
-		return v
-	}
-	n := resultUID.Add(1)
-	if r.uid.CompareAndSwap(0, n) {
-		return n
-	}
-	return r.uid.Load()
 }
 
 // FindTree answers a tree query against the result, memoized. It returns

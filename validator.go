@@ -150,7 +150,6 @@ type config struct {
 	manifest   *cvl.Manifest
 	reader     cvl.FileReader
 	registry   *lens.Registry
-	crawlOpt   crawler.Options
 	extended   bool
 	telemetry  *telemetry.Collector
 	faults     *faults.Injector
@@ -176,11 +175,6 @@ func WithExtendedRules() Option {
 // WithLensRegistry replaces the default lens registry.
 func WithLensRegistry(r *lens.Registry) Option {
 	return func(c *config) { c.registry = r }
-}
-
-// WithCrawlerOptions tunes configuration extraction.
-func WithCrawlerOptions(opts crawler.Options) Option {
-	return func(c *config) { c.crawlOpt = opts }
 }
 
 // WithTelemetry attaches a metrics collector: every Validate /
@@ -263,14 +257,10 @@ func New(opts ...Option) (*Validator, error) {
 	if c.reader == nil {
 		return nil, fmt.Errorf("configvalidator: a manifest requires a rule-file reader")
 	}
-	c.crawlOpt.Faults = c.faults
-	if c.parseCache != nil {
-		if c.telemetry != nil {
-			c.parseCache.SetMetrics(c.telemetry)
-		}
-		c.crawlOpt.Cache = c.parseCache
+	if c.parseCache != nil && c.telemetry != nil {
+		c.parseCache.SetMetrics(c.telemetry)
 	}
-	eng := engine.New(crawler.New(c.registry, c.crawlOpt))
+	eng := engine.New(crawler.New(c.registry, crawler.Options{Faults: c.faults, Cache: c.parseCache}))
 	eng.SetFaults(c.faults)
 	return &Validator{
 		manifest:  c.manifest,
@@ -312,30 +302,56 @@ func (v *Validator) record(start time.Time, rep *Report, err error) {
 // Validate runs every enabled manifest entry (including composite rules)
 // against the entity.
 func (v *Validator) Validate(e Entity) (*Report, error) {
-	start := time.Now()
-	v.telemetry.ScanStarted()
-	defer v.telemetry.ScanEnded()
-	rep, err := v.engine.ValidateWithSource(faults.Wrap(e, v.faults), v.manifest, v.source)
-	v.record(start, rep, err)
-	return rep, err
+	res := v.scan(e, "", nil)
+	return res.Report, res.Err
 }
 
 // ValidateTarget runs only the named manifest entity (e.g. "sshd"). An
 // unknown target returns an error wrapping ErrUnknownTarget.
 func (v *Validator) ValidateTarget(e Entity, target string) (*Report, error) {
-	start := time.Now()
-	v.telemetry.ScanStarted()
-	defer v.telemetry.ScanEnded()
-	entry, ok := v.manifest.Entry(target)
-	if !ok {
+	if target == "" {
 		err := fmt.Errorf("configvalidator: %w: %q", ErrUnknownTarget, target)
-		v.record(start, nil, err)
+		v.record(time.Now(), nil, err)
 		return nil, err
 	}
-	sub := &cvl.Manifest{Entries: []*cvl.ManifestEntry{entry}}
-	rep, err := v.engine.ValidateWithSource(faults.Wrap(e, v.faults), sub, v.source)
-	v.record(start, rep, err)
-	return rep, err
+	res := v.scan(e, target, nil)
+	return res.Report, res.Err
+}
+
+// scan validates e against the manifest entries of target (every enabled
+// entry for an empty target) from one observation of its files. With a
+// journal, it first digests the observation and replays the report
+// journaled under that digest (Resumed); on a miss it validates the same
+// observation and carries the digest with the result, so a journaled
+// digest names exactly the bytes its report judged. A replay is not a
+// scan, so only a validation records scan telemetry. Panics propagate: a
+// panicking Walk, in the digest or the crawl, is the caller's to isolate.
+func (v *Validator) scan(e Entity, target string, j *Journal) (res FleetResult) {
+	start := time.Now()
+	entries, err := v.targetEntries(target)
+	if err != nil {
+		v.record(start, nil, err)
+		return FleetResult{Err: err}
+	}
+	roots := searchPathUnion(entries)
+	obs := crawler.Observe(faults.Wrap(e, v.faults), roots)
+	if j != nil {
+		if d, derr := v.digest(obs, entries, roots); derr == nil {
+			if rec, ok := j.Lookup(e.Name(), d); ok {
+				return FleetResult{Report: rec.Report.Report(), Resumed: true}
+			}
+			res.digest = d
+		}
+	}
+	m := v.manifest
+	if target != "" {
+		m = &cvl.Manifest{Entries: entries}
+	}
+	v.telemetry.ScanStarted()
+	defer v.telemetry.ScanEnded()
+	res.Report, res.Err = v.engine.ValidateWithSource(obs, m, v.source)
+	v.record(start, res.Report, res.Err)
+	return res
 }
 
 // ValidateRules applies an explicit rule list with explicit search paths —
