@@ -18,10 +18,10 @@ race:
 # Core-count parity: the packages whose behaviour depends on how many
 # goroutines run at once (fleet workers and retries, the parse cache the
 # workers share, the engine's shared verdict memo, the server's breaker,
-# the journal) must pass single-core and multi-core alike, whatever core
-# count the builder has.
+# the journal, and the telemetry collector all of them write) must pass
+# single-core and multi-core alike, whatever core count the builder has.
 cpu-parity:
-	$(GO) test -count=1 -cpu 1,4 . ./internal/crawler ./internal/engine ./internal/server ./internal/journal
+	$(GO) test -count=1 -cpu 1,4 . ./internal/crawler ./internal/engine ./internal/server ./internal/journal ./internal/telemetry
 
 # Static checks: cvlint over the embedded rule library, gofmt, and vet.
 lint:

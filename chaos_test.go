@@ -199,7 +199,7 @@ func chaosFleetDrill(t *testing.T, baseline map[string][]byte, workers int, cach
 
 	// Telemetry agrees: degraded results counted, in-flight gauge drained.
 	snap := collector.Snapshot()
-	if got := snap.ResultsByStatus[StatusDegraded]; got != degradedTotal {
+	if got := snap.ResultsByStatus["degraded"]; got != degradedTotal {
 		t.Errorf("telemetry degraded = %d, want %d", got, degradedTotal)
 	}
 	if snap.InFlightScans != 0 {

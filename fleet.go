@@ -13,6 +13,7 @@ import (
 
 	"configvalidator/internal/engine"
 	"configvalidator/internal/journal"
+	"configvalidator/internal/telemetry"
 )
 
 // ErrScanTimeout marks a scan abandoned at its per-entity deadline
@@ -215,7 +216,7 @@ func (localScheduler) Schedule(ctx context.Context, v *Validator, entities <-cha
 						// The result was computed (and journaled, when a
 						// journal is attached) but the run was cancelled
 						// before it could be delivered.
-						v.telemetry.ScanAbandoned()
+						v.telemetry.Add(telemetry.ScansAbandoned, 1)
 						return
 					}
 				}
@@ -237,7 +238,7 @@ func (v *Validator) scanJournaled(ctx context.Context, ent Entity, opts FleetOpt
 	res := v.scanOne(ctx, ent, opts)
 	res.Entity = ent.Name()
 	if res.Resumed {
-		v.telemetry.JournalEntitySkipped()
+		v.telemetry.Add(telemetry.JournalSkippedEntities, 1)
 	}
 	if opts.Journal == nil || res.Resumed {
 		return res
@@ -258,7 +259,7 @@ func (v *Validator) scanJournaled(ctx context.Context, ent Entity, opts FleetOpt
 	// still delivered in-memory. But it must not be silent either — count
 	// it, mark the result, and tell the operator once per run.
 	if err := opts.Journal.Append(rec); err != nil {
-		v.telemetry.JournalAppendError()
+		v.telemetry.Add(telemetry.JournalAppendErrors, 1)
 		res.JournalDegraded = true
 		if opts.journalLogOnce != nil {
 			opts.journalLogOnce.Do(func() {
@@ -288,7 +289,7 @@ func (v *Validator) scanOne(ctx context.Context, ent Entity, opts FleetOptions) 
 		if attempt >= opts.Retries || !Transient(lastErr) || ctx.Err() != nil {
 			break
 		}
-		v.telemetry.RetryScheduled()
+		v.telemetry.Add(telemetry.ScanRetries, 1)
 		timer := time.NewTimer(backoff)
 		select {
 		case <-ctx.Done():
@@ -323,7 +324,7 @@ func (v *Validator) scanAttempt(ctx context.Context, ent Entity, opts FleetOptio
 		return res
 	case <-ctx.Done():
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			v.telemetry.ScanTimedOut(time.Since(start))
+			v.telemetry.ScanFailed(time.Since(start), telemetry.ScanTimeouts)
 			return FleetResult{Err: fmt.Errorf("%w (after %v)", ErrScanTimeout, timeout)}
 		}
 		// Cancelled, not expired: surface the cancellation *cause* so a
@@ -340,7 +341,7 @@ func (v *Validator) safeScan(ent Entity, target string, j *Journal) (res FleetRe
 	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
-			v.telemetry.ScanPanicked(time.Since(start))
+			v.telemetry.ScanFailed(time.Since(start), telemetry.ScanPanics)
 			res = FleetResult{Err: &engine.PanicError{Value: r, Stack: debug.Stack()}}
 		}
 	}()

@@ -16,6 +16,7 @@ import (
 	"configvalidator/internal/faults"
 	"configvalidator/internal/fixtures"
 	"configvalidator/internal/pkgdb"
+	"configvalidator/internal/telemetry"
 )
 
 // feedFleet builds n images in a registry and streams their entities.
@@ -665,7 +666,7 @@ func (s *signalEntity) Walk(root string, fn func(entity.FileInfo) error) error {
 	return s.Mem.Walk(root, fn)
 }
 
-// TestScanAbandonedCounted pins the ScanAbandoned telemetry counter: a
+// TestScanAbandonedCounted pins the ScansAbandoned telemetry counter: a
 // result computed after the run's context is cancelled — with no receiver
 // left — is dropped, and the drop is counted so operators can reconcile
 // submitted vs. delivered (or journaled) entity counts.
@@ -934,8 +935,12 @@ func TestFleetMetricsExposition(t *testing.T) {
 		FleetOptions{Retries: 3, RetryBackoff: time.Millisecond})
 	for range results {
 	}
-	collector.ShardDispatched()
-	collector.LeaseReassigned()
+	// One lease as the coordinator records it: dispatched, live while
+	// the shard RPC runs, then reassigned.
+	collector.Add(telemetry.ShardsDispatched, 1)
+	collector.Add(telemetry.ActiveLeases, 1)
+	collector.Add(telemetry.ActiveLeases, -1)
+	collector.Add(telemetry.LeaseReassignments, 1)
 	var buf bytes.Buffer
 	if err := collector.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)

@@ -6,16 +6,8 @@ import (
 	"sync"
 
 	"configvalidator/internal/lens"
+	"configvalidator/internal/telemetry"
 )
-
-// CacheMetrics receives parse-cache events. *telemetry.Collector implements
-// it; the interface lives here so the crawler does not import telemetry
-// (which would cycle through the engine).
-type CacheMetrics interface {
-	ParseCacheHit()
-	ParseCacheMiss()
-	ParseCacheEviction()
-}
 
 // parseKey addresses one cached parse: the lens that produced it, the file
 // path inside the entity, and the SHA-256 of the raw content. The content
@@ -46,7 +38,7 @@ type ParseCache struct {
 
 	hits, misses, evictions int64
 
-	metrics CacheMetrics
+	metrics *telemetry.Collector
 }
 
 type parseCacheEntry struct {
@@ -70,9 +62,9 @@ func NewParseCache(capacity int) *ParseCache {
 	}
 }
 
-// SetMetrics attaches a metrics sink for hit/miss/eviction counters. A nil
-// sink (the default) keeps counting internally only.
-func (c *ParseCache) SetMetrics(m CacheMetrics) {
+// SetMetrics attaches a collector for the hit/miss/eviction counters. A
+// nil collector (the default) keeps counting internally only.
+func (c *ParseCache) SetMetrics(m *telemetry.Collector) {
 	if c == nil {
 		return
 	}
@@ -90,24 +82,17 @@ func (c *ParseCache) get(lensName, path string, sum [sha256.Size]byte) (*lens.Re
 	key := parseKey{lens: lensName, path: path, sum: sum}
 	c.mu.Lock()
 	el, ok := c.entries[key]
-	var m CacheMetrics
 	var res *lens.Result
 	if ok {
 		c.ll.MoveToFront(el)
 		c.hits++
+		c.metrics.Add(telemetry.ParseCacheHits, 1)
 		res = el.Value.(*parseCacheEntry).res
 	} else {
 		c.misses++
+		c.metrics.Add(telemetry.ParseCacheMisses, 1)
 	}
-	m = c.metrics
 	c.mu.Unlock()
-	if m != nil {
-		if ok {
-			m.ParseCacheHit()
-		} else {
-			m.ParseCacheMiss()
-		}
-	}
 	return res, ok
 }
 
@@ -119,8 +104,6 @@ func (c *ParseCache) put(lensName, path string, sum [sha256.Size]byte, res *lens
 		return
 	}
 	key := parseKey{lens: lensName, path: path, sum: sum}
-	var m CacheMetrics
-	var evicted bool
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		// Lost a race with a concurrent parse of the same content; keep
@@ -134,14 +117,10 @@ func (c *ParseCache) put(lensName, path string, sum [sha256.Size]byte, res *lens
 			c.ll.Remove(oldest)
 			delete(c.entries, oldest.Value.(*parseCacheEntry).key)
 			c.evictions++
-			evicted = true
+			c.metrics.Add(telemetry.ParseCacheEvictions, 1)
 		}
 	}
-	m = c.metrics
 	c.mu.Unlock()
-	if evicted && m != nil {
-		m.ParseCacheEviction()
-	}
 }
 
 // ParseCacheStats is a point-in-time copy of a cache's counters.

@@ -8,30 +8,8 @@ import (
 
 	"configvalidator/internal/entity"
 	"configvalidator/internal/lens"
+	"configvalidator/internal/telemetry"
 )
-
-type countingMetrics struct {
-	mu                      sync.Mutex
-	hits, misses, evictions int
-}
-
-func (m *countingMetrics) ParseCacheHit() {
-	m.mu.Lock()
-	m.hits++
-	m.mu.Unlock()
-}
-
-func (m *countingMetrics) ParseCacheMiss() {
-	m.mu.Lock()
-	m.misses++
-	m.mu.Unlock()
-}
-
-func (m *countingMetrics) ParseCacheEviction() {
-	m.mu.Lock()
-	m.evictions++
-	m.mu.Unlock()
-}
 
 func treeResult(label string) *lens.Result {
 	return &lens.Result{Kind: lens.KindTree}
@@ -39,7 +17,7 @@ func treeResult(label string) *lens.Result {
 
 func TestParseCacheLRUEviction(t *testing.T) {
 	c := NewParseCache(2)
-	m := &countingMetrics{}
+	m := telemetry.NewCollector()
 	c.SetMetrics(m)
 	sum := func(s string) [sha256.Size]byte { return sha256.Sum256([]byte(s)) }
 
@@ -70,8 +48,9 @@ func TestParseCacheLRUEviction(t *testing.T) {
 	if stats.Hits != 3 || stats.Misses != 1 {
 		t.Errorf("hits/misses = %d/%d, want 3/1", stats.Hits, stats.Misses)
 	}
-	if m.hits != 3 || m.misses != 1 || m.evictions != 1 {
-		t.Errorf("metrics sink saw hits=%d misses=%d evictions=%d, want 3/1/1", m.hits, m.misses, m.evictions)
+	if s := m.Snapshot(); s.ParseCacheHits != 3 || s.ParseCacheMisses != 1 || s.ParseCacheEvictions != 1 {
+		t.Errorf("collector saw hits=%d misses=%d evictions=%d, want 3/1/1",
+			s.ParseCacheHits, s.ParseCacheMisses, s.ParseCacheEvictions)
 	}
 }
 
@@ -99,7 +78,7 @@ func TestParseCacheNilSafety(t *testing.T) {
 		t.Error("nil cache reported a hit")
 	}
 	c.put("ini", "/a", sum, treeResult("a")) // must not panic
-	c.SetMetrics(&countingMetrics{})         // must not panic
+	c.SetMetrics(telemetry.NewCollector())   // must not panic
 	if s := c.Stats(); s != (ParseCacheStats{}) {
 		t.Errorf("nil cache stats = %+v, want zero", s)
 	}

@@ -213,7 +213,7 @@ func (r *run) emit(res configvalidator.FleetResult, digest string) {
 	r.mu.Lock()
 	if r.emitted[res.Entity] {
 		r.mu.Unlock()
-		r.metrics.DuplicateResultDropped()
+		r.metrics.Add(telemetry.DuplicateResults, 1)
 		return
 	}
 	r.emitted[res.Entity] = true
@@ -232,7 +232,7 @@ func (r *run) emit(res configvalidator.FleetResult, digest string) {
 		// mark the result so the summary reports the lost durability, and
 		// tell the operator once — the journal's re-probe loop owns recovery.
 		if err := r.fopts.Journal.Append(rec); err != nil {
-			r.metrics.JournalAppendError()
+			r.metrics.Add(telemetry.JournalAppendErrors, 1)
 			res.JournalDegraded = true
 			r.jrnlOnce.Do(func() {
 				r.logf("dist: coordinator journal degraded, results no longer persisted (scan continues): %v", err)
@@ -252,13 +252,13 @@ func (r *run) emit(res configvalidator.FleetResult, digest string) {
 		case r.results <- res:
 			return
 		case <-stallC:
-			r.metrics.MergeStalled()
+			r.metrics.Add(telemetry.MergeStalls, 1)
 			r.stallOnce.Do(func() {
 				r.logf("dist: merge stalled: FleetResult consumer has not accepted a result for %v (backpressure holding shard streams)", r.stallWarn)
 			})
 			stallC = nil // count each stalled delivery once, then wait
 		case <-r.ctx.Done():
-			r.metrics.ScanAbandoned()
+			r.metrics.Add(telemetry.ScansAbandoned, 1)
 			return
 		}
 	}
@@ -388,7 +388,7 @@ func (c *Coordinator) pack(r *run, v *configvalidator.Validator, ent configvalid
 	}
 	if digest != "" && r.fopts.Journal != nil {
 		if rec, ok := r.fopts.Journal.Lookup(name, digest); ok {
-			r.metrics.JournalEntitySkipped()
+			r.metrics.Add(telemetry.JournalSkippedEntities, 1)
 			r.emit(configvalidator.FleetResult{Entity: name, Report: rec.Report.Report(), Resumed: true}, digest)
 			return item{}, true
 		}
@@ -432,13 +432,16 @@ func (c *Coordinator) acquireWorker(r *run) (string, error) {
 // runShard executes one lease attempt end to end and routes its outcome:
 // complete, reassign, or fail out.
 func (c *Coordinator) runShard(r *run, v *configvalidator.Validator, w string, s *shard) {
-	r.metrics.ShardDispatched()
+	// The lease is live exactly while leaseShard runs.
+	r.metrics.Add(telemetry.ShardsDispatched, 1)
+	r.metrics.Add(telemetry.ActiveLeases, 1)
 	err := c.leaseShard(r, w, s)
+	r.metrics.Add(telemetry.ActiveLeases, -1)
 	rest := r.remaining(s)
 	if len(rest) == 0 {
 		// Every entity delivered — a nil err is the normal completion, a
 		// non-nil err means the stream died after its last useful line.
-		r.metrics.ShardCompleted()
+		r.metrics.Add(telemetry.ShardsCompleted, 1)
 		r.wg.Done()
 		r.ready <- w
 		return
@@ -455,11 +458,11 @@ func (c *Coordinator) runShard(r *run, v *configvalidator.Validator, w string, s
 	go c.probeWorker(r, w)
 
 	if s.attempt >= c.opts.MaxReassignments {
-		r.metrics.ShardCompleted()
+		r.metrics.Add(telemetry.ShardsCompleted, 1)
 		r.failShard(s, fmt.Errorf("lease failed %d times, last: %v", s.attempt+1, err))
 		return
 	}
-	r.metrics.LeaseReassigned()
+	r.metrics.Add(telemetry.LeaseReassignments, 1)
 	ns := &shard{id: s.id, attempt: s.attempt + 1, items: rest, noSegment: s.noSegment}
 	c.opts.Logf("dist: reassigning shard %s (attempt %d, %d entities left)", ns.id, ns.attempt+1, len(ns.items))
 	// Requeue off the dispatcher goroutine; the queue cannot close under us
@@ -557,7 +560,7 @@ func (c *Coordinator) leaseShard(r *run, w string, s *shard) error {
 			watchdog.Reset(c.opts.LeaseTTL)
 		case <-watchdog.C:
 			// Lease expired: no heartbeat, no result, nothing — revoke.
-			r.metrics.HeartbeatMissed()
+			r.metrics.Add(telemetry.HeartbeatsMissed, 1)
 			c.opts.Logf("dist: lease on shard %s (worker %s) expired after %v of silence; revoking",
 				s.id, w, c.opts.LeaseTTL)
 			revoke(configvalidator.ErrLeaseRevoked)
@@ -626,7 +629,7 @@ func (c *Coordinator) dispatch(r *run, leaseCtx context.Context, w string, s *sh
 				return nil, fmt.Errorf("worker out of disk even without a journal segment: %s", resp.Status)
 			}
 			s.noSegment = true
-			r.metrics.WorkerRPCRetry()
+			r.metrics.Add(telemetry.WorkerRPCRetries, 1)
 			c.opts.Logf("dist: worker %s cannot open journal segment for shard %s (disk pressure); retrying without worker-side resume",
 				w, s.id)
 		case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusConflict:
@@ -637,7 +640,7 @@ func (c *Coordinator) dispatch(r *run, leaseCtx context.Context, w string, s *sh
 			if attempt >= c.opts.DispatchRetries {
 				return nil, fmt.Errorf("worker shedding load: %s after %d attempts", resp.Status, attempt+1)
 			}
-			r.metrics.WorkerRPCRetry()
+			r.metrics.Add(telemetry.WorkerRPCRetries, 1)
 			wait := retryAfterHint(resp, backoff)
 			backoff = configvalidator.NextBackoff(c.opts.ProbeBackoff, backoff)
 			timer := time.NewTimer(wait)

@@ -11,6 +11,7 @@ import (
 
 	"configvalidator/internal/faults"
 	"configvalidator/internal/fsutil"
+	"configvalidator/internal/telemetry"
 )
 
 // fakeClock pins the journal's re-probe timing so degraded-mode tests
@@ -26,7 +27,7 @@ func TestDegradedEntersOnENOSPCAndFailsFast(t *testing.T) {
 	inj := faults.MustNew(faults.Rule{Op: faults.OpJournalAppend, Kind: faults.KindENOSPC})
 	var degradedCalls, recoveredCalls int
 	var firstErr error
-	m := &fakeMetrics{}
+	m := telemetry.NewCollector()
 	j := mustOpen(t, filepath.Join(t.TempDir(), "fleet.cvj"), Options{
 		Faults:  inj,
 		Metrics: m,
@@ -39,7 +40,7 @@ func TestDegradedEntersOnENOSPCAndFailsFast(t *testing.T) {
 	defer j.Close()
 	fakeClock(j)
 
-	if j.Degraded() {
+	if j.Degraded() || m.Snapshot().JournalDegraded {
 		t.Fatal("journal degraded before any append")
 	}
 	for i := 0; i < 5; i++ {
@@ -49,6 +50,9 @@ func TestDegradedEntersOnENOSPCAndFailsFast(t *testing.T) {
 		}
 		if !errors.Is(err, syscall.ENOSPC) {
 			t.Fatalf("append %d error chain missing ENOSPC: %v", i, err)
+		}
+		if !m.Snapshot().JournalDegraded {
+			t.Fatalf("degraded gauge clear after failed append %d", i)
 		}
 	}
 	if !j.Degraded() {
@@ -76,26 +80,30 @@ func TestDegradedEntersOnENOSPCAndFailsFast(t *testing.T) {
 	if st.Appends != 0 || st.AppendErrors != 5 || !st.Degraded {
 		t.Errorf("stats = %+v, want 0 appends, 5 errors, degraded", st)
 	}
-	if len(m.degradedFlips) != 1 || !m.degradedFlips[0] {
-		t.Errorf("degraded gauge flips = %v, want [true]", m.degradedFlips)
-	}
 }
 
 func TestDegradedReprobeResumesJournaling(t *testing.T) {
 	// Only the first append hits ENOSPC; the disk "clears" afterwards.
 	inj := faults.MustNew(faults.Rule{Op: faults.OpJournalAppend, Kind: faults.KindENOSPC, Times: 1})
-	var recovered int
-	m := &fakeMetrics{}
+	var degraded, recovered int
+	m := telemetry.NewCollector()
 	path := filepath.Join(t.TempDir(), "fleet.cvj")
-	j := mustOpen(t, path, Options{Faults: inj, Metrics: m, OnRecovered: func() { recovered++ }})
+	j := mustOpen(t, path, Options{Faults: inj, Metrics: m,
+		OnDegraded: func(error) { degraded++ }, OnRecovered: func() { recovered++ }})
 	now := fakeClock(j)
 
 	if err := j.Append(sampleRecord(0)); err == nil {
 		t.Fatal("first append succeeded despite fault")
 	}
+	if !m.Snapshot().JournalDegraded {
+		t.Error("degraded gauge clear after the failed append")
+	}
 	// Before the probe time the same append fails fast.
 	if err := j.Append(sampleRecord(0)); err == nil {
 		t.Fatal("append succeeded before probe time")
+	}
+	if !m.Snapshot().JournalDegraded {
+		t.Error("degraded gauge clear while failing fast")
 	}
 	if st := j.Stats(); st.Reprobes != 0 {
 		t.Fatalf("probed before ReprobeInterval elapsed: %+v", st)
@@ -108,8 +116,11 @@ func TestDegradedReprobeResumesJournaling(t *testing.T) {
 	if j.Degraded() {
 		t.Error("journal still degraded after successful re-probe")
 	}
-	if recovered != 1 {
-		t.Errorf("OnRecovered called %d times, want 1", recovered)
+	if m.Snapshot().JournalDegraded {
+		t.Error("degraded gauge still set after successful re-probe")
+	}
+	if degraded != 1 || recovered != 1 {
+		t.Errorf("OnDegraded/OnRecovered called %d/%d times, want 1/1", degraded, recovered)
 	}
 	if err := j.Append(sampleRecord(1)); err != nil {
 		t.Fatalf("append after recovery: %v", err)
@@ -118,11 +129,8 @@ func TestDegradedReprobeResumesJournaling(t *testing.T) {
 	if st.Appends != 2 || st.AppendErrors != 2 || st.Reprobes != 1 || st.Degraded {
 		t.Errorf("stats = %+v, want 2 appends, 2 errors, 1 reprobe, healthy", st)
 	}
-	if m.reprobes != 1 {
-		t.Errorf("reprobe metric = %d, want 1", m.reprobes)
-	}
-	if len(m.degradedFlips) != 2 || !m.degradedFlips[0] || m.degradedFlips[1] {
-		t.Errorf("degraded gauge flips = %v, want [true false]", m.degradedFlips)
+	if s := m.Snapshot(); s.JournalReprobes != 1 || s.JournalDegraded {
+		t.Errorf("reprobe metric = %d, degraded gauge = %v, want 1, false", s.JournalReprobes, s.JournalDegraded)
 	}
 	j.Close()
 

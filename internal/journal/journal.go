@@ -118,6 +118,7 @@ import (
 	"configvalidator/internal/engine"
 	"configvalidator/internal/faults"
 	"configvalidator/internal/fsutil"
+	"configvalidator/internal/telemetry"
 )
 
 // magic identifies (and versions) the on-disk format: version 2, the
@@ -165,23 +166,6 @@ var ErrClosed = errors.New("journal: closed")
 // a stale lock.
 var ErrBusy = errors.New("journal: already open by another writer (journals are single-writer)")
 
-// Metrics receives journal events; *telemetry.Collector implements it. The
-// interface lives here so the journal does not import telemetry.
-type Metrics interface {
-	// JournalAppended records one record durably appended.
-	JournalAppended()
-	// JournalReplayed records one valid record recovered at Open.
-	JournalReplayed()
-	// JournalCorruptRecord records one torn or corrupt record dropped
-	// during recovery.
-	JournalCorruptRecord()
-	// JournalDegraded flips the degraded-journal gauge: true when an
-	// append/sync failure degrades the journal, false on recovery.
-	JournalDegraded(degraded bool)
-	// JournalReprobe records one degraded-mode write re-probe attempt.
-	JournalReprobe()
-}
-
 // Options tune a journal.
 type Options struct {
 	// SyncEvery is the number of appends between fsyncs. 0 (the default)
@@ -191,8 +175,9 @@ type Options struct {
 	// journaled results on a power failure (a process crash loses nothing:
 	// the OS page cache survives it). -1 never syncs explicitly.
 	SyncEvery int
-	// Metrics optionally receives append/replay/corruption events.
-	Metrics Metrics
+	// Metrics optionally counts appends, replayed and corrupt records,
+	// re-probes, and the degraded-journal gauge.
+	Metrics *telemetry.Collector
 
 	// Faults optionally injects write-path faults into appends and syncs
 	// (chaos drills, the ENOSPC CI smoke). Nil means no injection.
@@ -399,9 +384,7 @@ func (j *Journal) replay(r io.Reader, size int64, decode func([]byte) (Record, e
 		j.absorb(rec)
 		j.replayed = append(j.replayed, rec)
 		j.replayedN++
-		if j.opts.Metrics != nil {
-			j.opts.Metrics.JournalReplayed()
-		}
+		j.opts.Metrics.Add(telemetry.JournalReplayed, 1)
 		offset += 8 + int64(length)
 	}
 	return offset, false
@@ -436,9 +419,7 @@ func (j *Journal) truncateTo(offset int64, rewriteMagic bool) error {
 
 func (j *Journal) noteCorrupt() {
 	j.corrupt++
-	if j.opts.Metrics != nil {
-		j.opts.Metrics.JournalCorruptRecord()
-	}
+	j.opts.Metrics.Add(telemetry.JournalCorruptRecords, 1)
 }
 
 // absorb folds one valid record into the resume index (last-writer-wins).
@@ -480,9 +461,7 @@ func (j *Journal) Append(rec Record) error {
 		// for a version 1 file, write its upgrade — then fall through and
 		// attempt the append for real.
 		j.reprobes++
-		if j.opts.Metrics != nil {
-			j.opts.Metrics.JournalReprobe()
-		}
+		j.opts.Metrics.Add(telemetry.JournalReprobes, 1)
 		repair := j.restoreGood
 		if j.upgrade {
 			repair = j.compactLocked
@@ -504,9 +483,7 @@ func (j *Journal) Append(rec Record) error {
 	j.goodOff += int64(len(buf))
 	j.appends++
 	j.absorb(rec)
-	if j.opts.Metrics != nil {
-		j.opts.Metrics.JournalAppended()
-	}
+	j.opts.Metrics.Add(telemetry.JournalAppends, 1)
 	j.sinceSync++
 	every := j.opts.SyncEvery
 	if every == 0 {
@@ -571,9 +548,7 @@ func (j *Journal) degrade(err error) {
 	if !j.degraded {
 		j.degraded = true
 		j.degradedErr = err
-		if j.opts.Metrics != nil {
-			j.opts.Metrics.JournalDegraded(true)
-		}
+		j.opts.Metrics.Set(telemetry.JournalDegraded, 1)
 		if j.opts.OnDegraded != nil {
 			j.opts.OnDegraded(err)
 		}
@@ -587,9 +562,7 @@ func (j *Journal) clearDegraded() {
 	j.degradedErr = nil
 	j.probeWait = 0
 	j.nextProbe = time.Time{}
-	if j.opts.Metrics != nil {
-		j.opts.Metrics.JournalDegraded(false)
-	}
+	j.opts.Metrics.Set(telemetry.JournalDegraded, 0)
 	if j.opts.OnRecovered != nil {
 		j.opts.OnRecovered()
 	}

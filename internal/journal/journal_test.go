@@ -13,6 +13,7 @@ import (
 	"configvalidator/internal/cvl"
 	"configvalidator/internal/engine"
 	"configvalidator/internal/output"
+	"configvalidator/internal/telemetry"
 )
 
 // sampleReport builds a small but renderer-complete report for entity i.
@@ -446,35 +447,26 @@ func TestLatestFollowsAppendsAndReplay(t *testing.T) {
 	}
 }
 
-type fakeMetrics struct {
-	appended, replayed, corrupt, reprobes int
-	degradedFlips                         []bool
-}
-
-func (m *fakeMetrics) JournalAppended()       { m.appended++ }
-func (m *fakeMetrics) JournalReplayed()       { m.replayed++ }
-func (m *fakeMetrics) JournalCorruptRecord()  { m.corrupt++ }
-func (m *fakeMetrics) JournalDegraded(d bool) { m.degradedFlips = append(m.degradedFlips, d) }
-func (m *fakeMetrics) JournalReprobe()        { m.reprobes++ }
-
 func TestMetricsPlumbing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fleet.cvj")
-	m1 := &fakeMetrics{}
+	m1 := telemetry.NewCollector()
 	j := mustOpen(t, path, Options{Metrics: m1})
 	appendN(t, j, 3)
 	j.Close()
-	if m1.appended != 3 || m1.replayed != 0 || m1.corrupt != 0 {
-		t.Fatalf("metrics after appends = %+v", m1)
+	if s := m1.Snapshot(); s.JournalAppends != 3 || s.JournalReplayed != 0 || s.JournalCorruptRecords != 0 {
+		t.Fatalf("appends/replayed/corrupt after appends = %d/%d/%d, want 3/0/0",
+			s.JournalAppends, s.JournalReplayed, s.JournalCorruptRecords)
 	}
 	blob, _ := os.ReadFile(path)
 	if err := os.WriteFile(path, blob[:len(blob)-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m2 := &fakeMetrics{}
+	m2 := telemetry.NewCollector()
 	j2 := mustOpen(t, path, Options{Metrics: m2})
 	defer j2.Close()
-	if m2.replayed != 2 || m2.corrupt != 1 {
-		t.Fatalf("metrics after recovery = %+v", m2)
+	if s := m2.Snapshot(); s.JournalReplayed != 2 || s.JournalCorruptRecords != 1 {
+		t.Fatalf("replayed/corrupt after recovery = %d/%d, want 2/1",
+			s.JournalReplayed, s.JournalCorruptRecords)
 	}
 }
 

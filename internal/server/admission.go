@@ -102,10 +102,10 @@ func (l *limiter) acquire(ctx context.Context) bool {
 		l.queued.Add(-1)
 		return false
 	}
-	l.metrics.QueueEnter()
+	l.metrics.Add(telemetry.QueueDepth, 1)
 	defer func() {
 		l.queued.Add(-1)
-		l.metrics.QueueExit()
+		l.metrics.Add(telemetry.QueueDepth, -1)
 	}()
 	timer := time.NewTimer(l.wait)
 	defer timer.Stop()
@@ -153,7 +153,9 @@ func newBreaker(l Limits, m *telemetry.Collector) *breaker {
 }
 
 // allow reports whether a validation request may proceed, transitioning
-// open → half-open once the cooldown has elapsed.
+// open → half-open once the cooldown has elapsed. A half-open breaker is
+// not open: the gauge clears as the probe is let through, matching
+// /readyz.
 func (b *breaker) allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -162,6 +164,7 @@ func (b *breaker) allow() bool {
 			return false
 		}
 		b.state = breakerHalfOpen
+		b.metrics.Set(telemetry.BreakerOpen, 0)
 	}
 	return true
 }
@@ -171,7 +174,7 @@ func (b *breaker) success() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state != breakerClosed {
-		b.metrics.BreakerClosed()
+		b.metrics.Set(telemetry.BreakerOpen, 0)
 	}
 	b.state = breakerClosed
 	b.failures = 0
@@ -198,7 +201,8 @@ func (b *breaker) trip() {
 	b.state = breakerOpen
 	b.openedAt = b.now()
 	b.failures = 0
-	b.metrics.BreakerOpened()
+	b.metrics.Add(telemetry.BreakerOpens, 1)
+	b.metrics.Set(telemetry.BreakerOpen, 1)
 }
 
 // isOpen reports whether the breaker currently rejects requests, without

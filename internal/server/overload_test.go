@@ -250,6 +250,58 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	}
 }
 
+// TestBreakerHalfOpenGaugeClears holds the post-cooldown probe at the test
+// gate: while it is in flight the breaker is half-open, and the
+// breaker-open gauge must agree with /readyz that it is not open.
+func TestBreakerHalfOpenGaugeClears(t *testing.T) {
+	inj := faults.MustNew(faults.Rule{Op: faults.OpWalk, Times: 2, Kind: faults.KindError, Msg: "store down"})
+	v, err := configvalidator.New(configvalidator.WithFaults(inj))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, srv, gate := overloadServer(t, Limits{BreakerThreshold: 2, BreakerCooldown: time.Hour}, v)
+	for i := 0; i < 2; i++ {
+		go func() { gate <- struct{}{} }()
+		resp := postFrame(t, srv.URL)
+		_, _ = io.Copy(io.Discard, resp.Body)
+		_ = resp.Body.Close()
+	}
+	if snap := s.Metrics().Snapshot(); !snap.BreakerOpen {
+		t.Fatal("breaker-open gauge clear after the breaker tripped")
+	}
+
+	s.brk.mu.Lock()
+	s.brk.now = func() time.Time { return time.Now().Add(2 * time.Hour) }
+	s.brk.mu.Unlock()
+	body := frameBody(t, 0)
+	probe := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(srv.URL+"/v1/validate/frame", "application/jsonl", body)
+		if err != nil {
+			t.Error(err)
+			probe <- 0
+			return
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		_ = resp.Body.Close()
+		probe <- resp.StatusCode
+	}()
+	eventually(t, "probe admitted", func() bool { return len(s.lim.slots) == 1 })
+
+	_, ready := getReadyz(t, srv.URL)
+	gauge := s.Metrics().Snapshot().BreakerOpen
+	if ready["breaker_open"] != false || gauge {
+		t.Errorf("half-open breaker: readyz breaker_open=%v gauge=%v, want false/false", ready["breaker_open"], gauge)
+	}
+	gate <- struct{}{}
+	if code := <-probe; code != http.StatusOK {
+		t.Fatalf("probe after cooldown returned %d, want 200", code)
+	}
+	if snap := s.Metrics().Snapshot(); snap.BreakerOpen || snap.BreakerOpens != 1 {
+		t.Errorf("after the probe: gauge=%v opens=%d, want false/1", snap.BreakerOpen, snap.BreakerOpens)
+	}
+}
+
 // TestUnknownTargetDoesNotTripBreaker: caller mistakes are 400s and never
 // feed breaker accounting.
 func TestUnknownTargetDoesNotTripBreaker(t *testing.T) {

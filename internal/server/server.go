@@ -187,7 +187,7 @@ func (s *Server) admit(next http.Handler) http.Handler {
 			return
 		}
 		if !s.lim.acquire(r.Context()) {
-			s.metrics.RequestShed()
+			s.metrics.Add(telemetry.RequestsShed, 1)
 			w.Header().Set("Retry-After", retryAfter(s.Limits.QueueWait))
 			httpError(w, http.StatusTooManyRequests, "validation capacity exhausted, retry later")
 			return

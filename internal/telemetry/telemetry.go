@@ -2,15 +2,26 @@
 // validation pipeline: scan and result counters, a fixed-bucket scan
 // latency histogram, error/retry/panic/timeout counters, and per-route
 // HTTP request instrumentation. One Collector is shared by single scans,
-// fleet scans, and the HTTP service, so an operator sees the whole
-// deployment in a single snapshot — the observability layer the paper's
-// production deployment (tens of thousands of scans daily inside IBM
-// Vulnerability Advisor) implies but the reproduction lacked.
+// fleet scans, the journal, the parse cache, the distributed coordinator
+// and the HTTP service, so an operator sees the whole deployment in a
+// single snapshot — the observability layer the paper's production
+// deployment (tens of thousands of scans daily inside IBM Vulnerability
+// Advisor) implies but the reproduction lacked.
 //
-// All counters are atomic; a Collector is safe for concurrent use by any
-// number of fleet workers and HTTP handlers. Snapshots are consistent
-// enough for operations (each counter is read atomically; the set of
-// counters is not read under one lock).
+// Every counter and gauge is declared once, as a row of the defs table:
+// the row gives its exposition name, help text, kind and Snapshot field,
+// and the Collector, Snapshot and WritePrometheus are all driven from the
+// table. Code that observes an event calls Add or Set with the row's
+// Metric; adding a metric is one row plus one Add at the event. Only
+// ScanDone, ScanFailed and RequestDone do more than touch one row (they
+// also feed the latency histograms and the HTTP route counts).
+//
+// The package imports only the standard library, so any layer (the
+// crawler's parse cache, the journal) can write a Collector directly. All
+// values are atomic; a Collector is safe for concurrent use by any number
+// of fleet workers and HTTP handlers, and a nil *Collector discards
+// everything. Snapshots are consistent enough for operations (each value
+// is read atomically; the set is not read under one lock).
 package telemetry
 
 import (
@@ -22,8 +33,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"configvalidator/internal/engine"
 )
 
 // LatencyBuckets are the histogram upper bounds in seconds, chosen to
@@ -117,68 +126,115 @@ func (h HistogramSnapshot) Quantile(q float64) time.Duration {
 	return h.Mean()
 }
 
+// Metric names one row of the defs table: a counter or gauge.
+type Metric int
+
+// Metrics, in exposition order. Counters only ever grow; gauges
+// (InFlightScans through JournalDegraded) move both ways. The Results*
+// rows are the status-labelled configvalidator_results_total family.
+const (
+	Scans Metric = iota
+	ScanErrors
+	ScanRetries
+	ScanPanics
+	ScanTimeouts
+	RequestsShed
+	BreakerOpens
+	ParseCacheHits
+	ParseCacheMisses
+	ParseCacheEvictions
+	JournalAppends
+	JournalReplayed
+	JournalCorruptRecords
+	JournalSkippedEntities
+	JournalAppendErrors
+	JournalReprobes
+	MergeStalls
+	ScansAbandoned
+	ShardsDispatched
+	ShardsCompleted
+	LeaseReassignments
+	HeartbeatsMissed
+	DuplicateResults
+	WorkerRPCRetries
+	InFlightScans
+	ActiveLeases
+	QueueDepth
+	BreakerOpen
+	JournalDegraded
+	ResultsPass
+	ResultsFail
+	ResultsNotApplicable
+	ResultsError
+	ResultsDegraded
+	numMetrics
+)
+
+// metricDef declares one metric. label is set only on the rows of the
+// status-labelled results family, which land in Snapshot.ResultsByStatus;
+// every other row copies its value into Snapshot through field.
+type metricDef struct {
+	name, help, kind string
+	field            func(s *Snapshot, v int64)
+	label            string
+}
+
+// counter and gauge declare one unlabelled row.
+func counter(name, help string, field func(*Snapshot, int64)) metricDef {
+	return metricDef{name: name, help: help, kind: "counter", field: field}
+}
+
+func gauge(name, help string, field func(*Snapshot, int64)) metricDef {
+	return metricDef{name: name, help: help, kind: "gauge", field: field}
+}
+
+// result declares one row of configvalidator_results_total{status=label}.
+func result(label string) metricDef {
+	return metricDef{name: "configvalidator_results_total", help: "Rule results across all scans, by status.", kind: "counter", label: label}
+}
+
+// defs declares every metric, indexed by Metric, in exposition order.
+var defs = [numMetrics]metricDef{
+	Scans:                  counter("configvalidator_scans_total", "Validation attempts with a terminal outcome.", func(s *Snapshot, v int64) { s.Scans = v }),
+	ScanErrors:             counter("configvalidator_scan_errors_total", "Validation attempts that ended in an error.", func(s *Snapshot, v int64) { s.Errors = v }),
+	ScanRetries:            counter("configvalidator_scan_retries_total", "Retries of transient scan failures.", func(s *Snapshot, v int64) { s.Retries = v }),
+	ScanPanics:             counter("configvalidator_scan_panics_total", "Scans that panicked and were isolated.", func(s *Snapshot, v int64) { s.Panics = v }),
+	ScanTimeouts:           counter("configvalidator_scan_timeouts_total", "Scans abandoned at their deadline.", func(s *Snapshot, v int64) { s.Timeouts = v }),
+	RequestsShed:           counter("configvalidator_requests_shed_total", "HTTP requests rejected at admission (429).", func(s *Snapshot, v int64) { s.Shed = v }),
+	BreakerOpens:           counter("configvalidator_breaker_opens_total", "Circuit-breaker trips.", func(s *Snapshot, v int64) { s.BreakerOpens = v }),
+	ParseCacheHits:         counter("configvalidator_parse_cache_hits_total", "Parse-cache lookups served from cache.", func(s *Snapshot, v int64) { s.ParseCacheHits = v }),
+	ParseCacheMisses:       counter("configvalidator_parse_cache_misses_total", "Parse-cache lookups that had to parse.", func(s *Snapshot, v int64) { s.ParseCacheMisses = v }),
+	ParseCacheEvictions:    counter("configvalidator_parse_cache_evictions_total", "Parse-cache entries dropped at capacity.", func(s *Snapshot, v int64) { s.ParseCacheEvictions = v }),
+	JournalAppends:         counter("configvalidator_journal_appends_total", "Records appended to the durable result journal.", func(s *Snapshot, v int64) { s.JournalAppends = v }),
+	JournalReplayed:        counter("configvalidator_journal_replayed_total", "Journal records replayed at recovery.", func(s *Snapshot, v int64) { s.JournalReplayed = v }),
+	JournalCorruptRecords:  counter("configvalidator_journal_corrupt_records_total", "Corrupt journal records dropped at recovery.", func(s *Snapshot, v int64) { s.JournalCorruptRecords = v }),
+	JournalSkippedEntities: counter("configvalidator_journal_skipped_entities_total", "Fleet entities skipped on resume (journaled digest matched).", func(s *Snapshot, v int64) { s.JournalSkippedEntities = v }),
+	JournalAppendErrors:    counter("configvalidator_journal_append_errors_total", "Journal appends that failed (scan continued, result not persisted).", func(s *Snapshot, v int64) { s.JournalAppendErrors = v }),
+	JournalReprobes:        counter("configvalidator_journal_reprobes_total", "Write re-probes attempted by a degraded journal.", func(s *Snapshot, v int64) { s.JournalReprobes = v }),
+	MergeStalls:            counter("configvalidator_merge_stalls_total", "Coordinator merge stalls (slow FleetResult consumer paused shard reads).", func(s *Snapshot, v int64) { s.MergeStalls = v }),
+	ScansAbandoned:         counter("configvalidator_scans_abandoned_total", "Computed fleet results dropped at context cancellation.", func(s *Snapshot, v int64) { s.ScansAbandoned = v }),
+	ShardsDispatched:       counter("configvalidator_shards_dispatched_total", "Shards handed to workers under a lease.", func(s *Snapshot, v int64) { s.ShardsDispatched = v }),
+	ShardsCompleted:        counter("configvalidator_shards_completed_total", "Shards whose every entity produced a result.", func(s *Snapshot, v int64) { s.ShardsCompleted = v }),
+	LeaseReassignments:     counter("configvalidator_scan_lease_reassignments_total", "Shard leases revoked and reassigned to another worker.", func(s *Snapshot, v int64) { s.LeaseReassignments = v }),
+	HeartbeatsMissed:       counter("configvalidator_lease_heartbeats_missed_total", "Leases whose worker went silent past the lease TTL.", func(s *Snapshot, v int64) { s.HeartbeatsMissed = v }),
+	DuplicateResults:       counter("configvalidator_duplicate_results_dropped_total", "Duplicate remote results dropped last-writer-wins.", func(s *Snapshot, v int64) { s.DuplicateResults = v }),
+	WorkerRPCRetries:       counter("configvalidator_worker_rpc_retries_total", "Shard dispatches retried against a worker.", func(s *Snapshot, v int64) { s.WorkerRPCRetries = v }),
+	InFlightScans:          gauge("configvalidator_inflight_scans", "Validations executing right now.", func(s *Snapshot, v int64) { s.InFlightScans = v }),
+	ActiveLeases:           gauge("configvalidator_active_leases", "Shard leases live right now.", func(s *Snapshot, v int64) { s.ActiveLeases = v }),
+	QueueDepth:             gauge("configvalidator_server_queue_depth", "HTTP requests waiting for an admission slot.", func(s *Snapshot, v int64) { s.QueueDepth = v }),
+	BreakerOpen:            gauge("configvalidator_breaker_open", "Whether the validation circuit breaker is open (1) or closed (0).", func(s *Snapshot, v int64) { s.BreakerOpen = v != 0 }),
+	JournalDegraded:        gauge("configvalidator_journal_degraded", "Whether the result journal is degraded (1) — appends failing fast between re-probes — or healthy (0).", func(s *Snapshot, v int64) { s.JournalDegraded = v != 0 }),
+	ResultsPass:            result("pass"),
+	ResultsFail:            result("fail"),
+	ResultsNotApplicable:   result("n/a"),
+	ResultsError:           result("error"),
+	ResultsDegraded:        result("degraded"),
+}
+
 // Collector accumulates metrics. The zero value is not usable; construct
-// with NewCollector.
+// with NewCollector. A nil *Collector is valid and records nothing.
 type Collector struct {
-	scans    atomic.Int64
-	errors   atomic.Int64
-	retries  atomic.Int64
-	panics   atomic.Int64
-	timeouts atomic.Int64
-
-	// Gauges and counters for the overload-protection layer: scans
-	// currently executing, HTTP requests waiting for an admission slot,
-	// requests shed at admission, and circuit-breaker state transitions.
-	inflight     atomic.Int64
-	queueDepth   atomic.Int64
-	shed         atomic.Int64
-	breakerOpens atomic.Int64
-	breakerOpen  atomic.Int64 // 0 closed/half-open, 1 open
-
-	// Parse-cache counters: lookups served from the content-addressed
-	// cache, lookups that had to parse, and entries dropped at capacity.
-	parseCacheHits      atomic.Int64
-	parseCacheMisses    atomic.Int64
-	parseCacheEvictions atomic.Int64
-
-	// Journal counters: records appended to the durable result journal,
-	// records replayed at recovery, corrupt records dropped at recovery,
-	// and entities skipped because a journaled result matched their config
-	// digest. ScanAbandoned counts computed fleet results dropped because
-	// the run's context was cancelled before they could be delivered.
-	journalAppends  atomic.Int64
-	journalReplayed atomic.Int64
-	journalCorrupt  atomic.Int64
-	journalSkipped  atomic.Int64
-	scanAbandoned   atomic.Int64
-
-	// Disk-pressure counters: journal appends that failed (ENOSPC, EIO),
-	// the degraded-journal gauge (1 while appends are failing fast
-	// between re-probes), write re-probes attempted while degraded, and
-	// coordinator merge stalls (the FleetResult consumer fell behind long
-	// enough to pause shard stream reads).
-	journalAppendErrors atomic.Int64
-	journalDegraded     atomic.Int64 // gauge: 0 healthy, 1 degraded
-	journalReprobes     atomic.Int64
-	mergeStalls         atomic.Int64
-
-	// Distributed-fleet counters: shards handed to workers under a lease,
-	// shards whose every entity completed, leases revoked and reassigned
-	// after a missed heartbeat or worker failure, heartbeats the
-	// coordinator waited out, duplicate remote results dropped
-	// last-writer-wins, worker RPC dispatch retries, and the number of
-	// leases live right now (gauge).
-	shardsDispatched   atomic.Int64
-	shardsCompleted    atomic.Int64
-	leaseReassignments atomic.Int64
-	heartbeatsMissed   atomic.Int64
-	duplicateResults   atomic.Int64
-	workerRPCRetries   atomic.Int64
-	activeLeases       atomic.Int64
-
-	// Result counters by engine status. StatusPass..StatusDegraded are
-	// 1-based and contiguous; index 0 is unused.
-	statuses [6]atomic.Int64
+	values [numMetrics]atomic.Int64
 
 	scanLatency histogram
 
@@ -197,287 +253,47 @@ func NewCollector() *Collector {
 	return &Collector{httpCounts: make(map[routeCode]int64)}
 }
 
-// ScanDone records one completed validation: its latency and the per-rule
-// result counts from the report.
-func (c *Collector) ScanDone(d time.Duration, counts map[engine.Status]int) {
+// Add adds delta to m: one event for a counter, a rise (or, negative, a
+// fall) for a gauge.
+func (c *Collector) Add(m Metric, delta int64) {
 	if c == nil {
 		return
 	}
-	c.scans.Add(1)
+	c.values[m].Add(delta)
+}
+
+// Set sets gauge m to v; the boolean gauges (BreakerOpen, JournalDegraded)
+// take 1 for true and 0 for false.
+func (c *Collector) Set(m Metric, v int64) {
+	if c == nil {
+		return
+	}
+	c.values[m].Store(v)
+}
+
+// ScanDone records one completed validation and its latency. The caller
+// adds the report's rule results to the Results* rows.
+func (c *Collector) ScanDone(d time.Duration) {
+	if c == nil {
+		return
+	}
+	c.values[Scans].Add(1)
 	c.scanLatency.observe(d)
-	for status, n := range counts {
-		if status >= 1 && int(status) < len(c.statuses) {
-			c.statuses[status].Add(int64(n))
-		}
-	}
 }
 
-// ScanFailed records a validation attempt that ended in an error.
-func (c *Collector) ScanFailed(d time.Duration) {
+// ScanFailed records a validation attempt that ended in an error and its
+// latency. kind names the failure's breakdown row, ScanPanics or
+// ScanTimeouts, when it has one.
+func (c *Collector) ScanFailed(d time.Duration, kind ...Metric) {
 	if c == nil {
 		return
 	}
-	c.scans.Add(1)
-	c.errors.Add(1)
+	for _, m := range kind {
+		c.values[m].Add(1)
+	}
+	c.values[Scans].Add(1)
+	c.values[ScanErrors].Add(1)
 	c.scanLatency.observe(d)
-}
-
-// ScanPanicked records a validation attempt that panicked (and was
-// recovered by the fleet layer).
-func (c *Collector) ScanPanicked(d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.panics.Add(1)
-	c.ScanFailed(d)
-}
-
-// ScanTimedOut records a validation attempt abandoned at its deadline.
-func (c *Collector) ScanTimedOut(d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.timeouts.Add(1)
-	c.ScanFailed(d)
-}
-
-// RetryScheduled records one retry of a transient scan failure.
-func (c *Collector) RetryScheduled() {
-	if c == nil {
-		return
-	}
-	c.retries.Add(1)
-}
-
-// ScanStarted marks one validation as executing; pair with ScanEnded. The
-// difference is the in-flight-scans gauge.
-func (c *Collector) ScanStarted() {
-	if c == nil {
-		return
-	}
-	c.inflight.Add(1)
-}
-
-// ScanEnded marks one validation as no longer executing.
-func (c *Collector) ScanEnded() {
-	if c == nil {
-		return
-	}
-	c.inflight.Add(-1)
-}
-
-// QueueEnter marks one HTTP request as waiting for an admission slot;
-// pair with QueueExit.
-func (c *Collector) QueueEnter() {
-	if c == nil {
-		return
-	}
-	c.queueDepth.Add(1)
-}
-
-// QueueExit marks one queued HTTP request as admitted or abandoned.
-func (c *Collector) QueueExit() {
-	if c == nil {
-		return
-	}
-	c.queueDepth.Add(-1)
-}
-
-// RequestShed records one HTTP request rejected at admission (429).
-func (c *Collector) RequestShed() {
-	if c == nil {
-		return
-	}
-	c.shed.Add(1)
-}
-
-// BreakerOpened records a circuit-breaker trip and sets the open gauge.
-func (c *Collector) BreakerOpened() {
-	if c == nil {
-		return
-	}
-	c.breakerOpens.Add(1)
-	c.breakerOpen.Store(1)
-}
-
-// BreakerClosed clears the circuit-breaker open gauge.
-func (c *Collector) BreakerClosed() {
-	if c == nil {
-		return
-	}
-	c.breakerOpen.Store(0)
-}
-
-// ParseCacheHit records one parse-cache lookup served from cache. The
-// three ParseCache* methods implement crawler.CacheMetrics, so a Collector
-// can be attached directly to a crawler.ParseCache.
-func (c *Collector) ParseCacheHit() {
-	if c == nil {
-		return
-	}
-	c.parseCacheHits.Add(1)
-}
-
-// ParseCacheMiss records one parse-cache lookup that had to parse.
-func (c *Collector) ParseCacheMiss() {
-	if c == nil {
-		return
-	}
-	c.parseCacheMisses.Add(1)
-}
-
-// ParseCacheEviction records one parse-cache entry dropped at capacity.
-func (c *Collector) ParseCacheEviction() {
-	if c == nil {
-		return
-	}
-	c.parseCacheEvictions.Add(1)
-}
-
-// JournalAppended records one record durably appended to the result
-// journal. The Journal* methods implement journal.Metrics, so a
-// Collector can be attached directly to a journal.
-func (c *Collector) JournalAppended() {
-	if c == nil {
-		return
-	}
-	c.journalAppends.Add(1)
-}
-
-// JournalReplayed records one valid journal record recovered at open.
-func (c *Collector) JournalReplayed() {
-	if c == nil {
-		return
-	}
-	c.journalReplayed.Add(1)
-}
-
-// JournalCorruptRecord records one torn or corrupt journal record dropped
-// during recovery.
-func (c *Collector) JournalCorruptRecord() {
-	if c == nil {
-		return
-	}
-	c.journalCorrupt.Add(1)
-}
-
-// JournalAppendError records one failed journal append — the scan
-// continued, the result was not persisted (disk full, I/O fault).
-func (c *Collector) JournalAppendError() {
-	if c == nil {
-		return
-	}
-	c.journalAppendErrors.Add(1)
-}
-
-// JournalDegraded flips the degraded-journal gauge: true while appends
-// are failing fast between re-probes, false once journaling resumes.
-func (c *Collector) JournalDegraded(degraded bool) {
-	if c == nil {
-		return
-	}
-	if degraded {
-		c.journalDegraded.Store(1)
-	} else {
-		c.journalDegraded.Store(0)
-	}
-}
-
-// JournalReprobe records one degraded-mode write re-probe attempt.
-func (c *Collector) JournalReprobe() {
-	if c == nil {
-		return
-	}
-	c.journalReprobes.Add(1)
-}
-
-// MergeStalled records one coordinator merge stall: the FleetResult
-// consumer fell behind long enough that shard stream reads paused.
-func (c *Collector) MergeStalled() {
-	if c == nil {
-		return
-	}
-	c.mergeStalls.Add(1)
-}
-
-// JournalEntitySkipped records one fleet entity skipped because its
-// journaled result's config digest still matched — the resume fast path.
-func (c *Collector) JournalEntitySkipped() {
-	if c == nil {
-		return
-	}
-	c.journalSkipped.Add(1)
-}
-
-// ScanAbandoned records one computed fleet result dropped because the
-// run's context was cancelled before the result could be delivered —
-// operators reconcile submitted vs. journaled entity counts with it.
-func (c *Collector) ScanAbandoned() {
-	if c == nil {
-		return
-	}
-	c.scanAbandoned.Add(1)
-}
-
-// ShardDispatched records one shard handed to a worker under a lease;
-// pair with either ShardCompleted or LeaseReassigned. It also raises the
-// active-leases gauge.
-func (c *Collector) ShardDispatched() {
-	if c == nil {
-		return
-	}
-	c.shardsDispatched.Add(1)
-	c.activeLeases.Add(1)
-}
-
-// ShardCompleted records one shard whose every entity produced a result;
-// lowers the active-leases gauge.
-func (c *Collector) ShardCompleted() {
-	if c == nil {
-		return
-	}
-	c.shardsCompleted.Add(1)
-	c.activeLeases.Add(-1)
-}
-
-// LeaseReassigned records one lease revoked (missed heartbeats, worker
-// death, drain) whose remaining entities were handed to another worker;
-// lowers the active-leases gauge.
-func (c *Collector) LeaseReassigned() {
-	if c == nil {
-		return
-	}
-	c.leaseReassignments.Add(1)
-	c.activeLeases.Add(-1)
-}
-
-// HeartbeatMissed records one lease whose worker went silent past the
-// lease TTL — the trigger for revocation.
-func (c *Collector) HeartbeatMissed() {
-	if c == nil {
-		return
-	}
-	c.heartbeatsMissed.Add(1)
-}
-
-// DuplicateResultDropped records one remote result discarded because the
-// entity already produced one (a revoked worker's stream racing its
-// replacement) — the stream-level twin of the journal's last-writer-wins
-// compaction.
-func (c *Collector) DuplicateResultDropped() {
-	if c == nil {
-		return
-	}
-	c.duplicateResults.Add(1)
-}
-
-// WorkerRPCRetry records one shard dispatch retried against a worker
-// (connection refusal, 429 backpressure, 503 breaker).
-func (c *Collector) WorkerRPCRetry() {
-	if c == nil {
-		return
-	}
-	c.workerRPCRetries.Add(1)
 }
 
 // RequestDone records one HTTP request against a route pattern.
@@ -502,7 +318,8 @@ type Snapshot struct {
 	// InFlightScans and QueueDepth are gauges: validations executing right
 	// now and HTTP requests waiting for an admission slot. Shed counts
 	// requests rejected at admission; BreakerOpens counts circuit-breaker
-	// trips and BreakerOpen reports whether it is open right now.
+	// trips and BreakerOpen reports whether it is open right now (a
+	// half-open breaker, whose probe is in flight, is not open).
 	InFlightScans, QueueDepth, Shed, BreakerOpens int64
 	BreakerOpen                                   bool
 	// ParseCacheHits/Misses/Evictions describe the content-addressed
@@ -529,8 +346,10 @@ type Snapshot struct {
 	// the active-leases gauge.
 	ShardsDispatched, ShardsCompleted, LeaseReassignments, HeartbeatsMissed int64
 	DuplicateResults, WorkerRPCRetries, ActiveLeases                        int64
-	// ResultsByStatus tallies individual rule results across all scans.
-	ResultsByStatus map[engine.Status]int64
+	// ResultsByStatus tallies individual rule results across all scans,
+	// keyed by exposition label ("pass", "fail", "n/a", "error",
+	// "degraded"); statuses with no results are absent.
+	ResultsByStatus map[string]int64
 	// ScanLatency is the scan-duration histogram.
 	ScanLatency HistogramSnapshot
 	// HTTPRequests counts requests keyed "ROUTE CODE"
@@ -543,43 +362,17 @@ type Snapshot struct {
 // Snapshot copies the current counter values.
 func (c *Collector) Snapshot() Snapshot {
 	s := Snapshot{
-		Scans:                  c.scans.Load(),
-		Errors:                 c.errors.Load(),
-		Retries:                c.retries.Load(),
-		Panics:                 c.panics.Load(),
-		Timeouts:               c.timeouts.Load(),
-		InFlightScans:          c.inflight.Load(),
-		QueueDepth:             c.queueDepth.Load(),
-		Shed:                   c.shed.Load(),
-		BreakerOpens:           c.breakerOpens.Load(),
-		BreakerOpen:            c.breakerOpen.Load() != 0,
-		ParseCacheHits:         c.parseCacheHits.Load(),
-		ParseCacheMisses:       c.parseCacheMisses.Load(),
-		ParseCacheEvictions:    c.parseCacheEvictions.Load(),
-		JournalAppends:         c.journalAppends.Load(),
-		JournalReplayed:        c.journalReplayed.Load(),
-		JournalCorruptRecords:  c.journalCorrupt.Load(),
-		JournalSkippedEntities: c.journalSkipped.Load(),
-		JournalAppendErrors:    c.journalAppendErrors.Load(),
-		JournalDegraded:        c.journalDegraded.Load() != 0,
-		JournalReprobes:        c.journalReprobes.Load(),
-		MergeStalls:            c.mergeStalls.Load(),
-		ScansAbandoned:         c.scanAbandoned.Load(),
-		ShardsDispatched:       c.shardsDispatched.Load(),
-		ShardsCompleted:        c.shardsCompleted.Load(),
-		LeaseReassignments:     c.leaseReassignments.Load(),
-		HeartbeatsMissed:       c.heartbeatsMissed.Load(),
-		DuplicateResults:       c.duplicateResults.Load(),
-		WorkerRPCRetries:       c.workerRPCRetries.Load(),
-		ActiveLeases:           c.activeLeases.Load(),
-		ResultsByStatus:        make(map[engine.Status]int64, 5),
-		ScanLatency:            c.scanLatency.snapshot(),
-		HTTPRequests:           make(map[string]int64),
-		HTTPLatency:            c.httpLatency.snapshot(),
+		ResultsByStatus: make(map[string]int64, 5),
+		ScanLatency:     c.scanLatency.snapshot(),
+		HTTPRequests:    make(map[string]int64),
+		HTTPLatency:     c.httpLatency.snapshot(),
 	}
-	for _, status := range []engine.Status{engine.StatusPass, engine.StatusFail, engine.StatusNotApplicable, engine.StatusError, engine.StatusDegraded} {
-		if n := c.statuses[status].Load(); n != 0 {
-			s.ResultsByStatus[status] = n
+	for m := range numMetrics {
+		v := c.values[m].Load()
+		if d := &defs[m]; d.label == "" {
+			d.field(&s, v)
+		} else if v != 0 {
+			s.ResultsByStatus[d.label] = v
 		}
 	}
 	c.httpMu.Lock()
@@ -600,64 +393,24 @@ func (s Snapshot) String() string {
 }
 
 // WritePrometheus renders the collector in the Prometheus text exposition
-// format (version 0.0.4) — counters, status-labelled result counts, and
-// cumulative histogram buckets.
+// format (version 0.0.4): every defs row in table order (a labelled family
+// shares one HELP/TYPE header), then the cumulative histogram buckets and
+// the per-route HTTP request counts.
 func (c *Collector) WritePrometheus(w io.Writer) error {
-	s := c.Snapshot()
 	var b strings.Builder
-
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("configvalidator_scans_total", "Validation attempts with a terminal outcome.", s.Scans)
-	counter("configvalidator_scan_errors_total", "Validation attempts that ended in an error.", s.Errors)
-	counter("configvalidator_scan_retries_total", "Retries of transient scan failures.", s.Retries)
-	counter("configvalidator_scan_panics_total", "Scans that panicked and were isolated.", s.Panics)
-	counter("configvalidator_scan_timeouts_total", "Scans abandoned at their deadline.", s.Timeouts)
-	counter("configvalidator_requests_shed_total", "HTTP requests rejected at admission (429).", s.Shed)
-	counter("configvalidator_breaker_opens_total", "Circuit-breaker trips.", s.BreakerOpens)
-	counter("configvalidator_parse_cache_hits_total", "Parse-cache lookups served from cache.", s.ParseCacheHits)
-	counter("configvalidator_parse_cache_misses_total", "Parse-cache lookups that had to parse.", s.ParseCacheMisses)
-	counter("configvalidator_parse_cache_evictions_total", "Parse-cache entries dropped at capacity.", s.ParseCacheEvictions)
-	counter("configvalidator_journal_appends_total", "Records appended to the durable result journal.", s.JournalAppends)
-	counter("configvalidator_journal_replayed_total", "Journal records replayed at recovery.", s.JournalReplayed)
-	counter("configvalidator_journal_corrupt_records_total", "Corrupt journal records dropped at recovery.", s.JournalCorruptRecords)
-	counter("configvalidator_journal_skipped_entities_total", "Fleet entities skipped on resume (journaled digest matched).", s.JournalSkippedEntities)
-	counter("configvalidator_journal_append_errors_total", "Journal appends that failed (scan continued, result not persisted).", s.JournalAppendErrors)
-	counter("configvalidator_journal_reprobes_total", "Write re-probes attempted by a degraded journal.", s.JournalReprobes)
-	counter("configvalidator_merge_stalls_total", "Coordinator merge stalls (slow FleetResult consumer paused shard reads).", s.MergeStalls)
-	counter("configvalidator_scans_abandoned_total", "Computed fleet results dropped at context cancellation.", s.ScansAbandoned)
-	counter("configvalidator_shards_dispatched_total", "Shards handed to workers under a lease.", s.ShardsDispatched)
-	counter("configvalidator_shards_completed_total", "Shards whose every entity produced a result.", s.ShardsCompleted)
-	counter("configvalidator_scan_lease_reassignments_total", "Shard leases revoked and reassigned to another worker.", s.LeaseReassignments)
-	counter("configvalidator_lease_heartbeats_missed_total", "Leases whose worker went silent past the lease TTL.", s.HeartbeatsMissed)
-	counter("configvalidator_duplicate_results_dropped_total", "Duplicate remote results dropped last-writer-wins.", s.DuplicateResults)
-	counter("configvalidator_worker_rpc_retries_total", "Shard dispatches retried against a worker.", s.WorkerRPCRetries)
-
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	gauge("configvalidator_inflight_scans", "Validations executing right now.", s.InFlightScans)
-	gauge("configvalidator_active_leases", "Shard leases live right now.", s.ActiveLeases)
-	gauge("configvalidator_server_queue_depth", "HTTP requests waiting for an admission slot.", s.QueueDepth)
-	var breakerOpen int64
-	if s.BreakerOpen {
-		breakerOpen = 1
-	}
-	gauge("configvalidator_breaker_open", "Whether the validation circuit breaker is open (1) or closed (0).", breakerOpen)
-	var journalDegraded int64
-	if s.JournalDegraded {
-		journalDegraded = 1
-	}
-	gauge("configvalidator_journal_degraded", "Whether the result journal is degraded (1) — appends failing fast between re-probes — or healthy (0).", journalDegraded)
-
-	fmt.Fprintf(&b, "# HELP configvalidator_results_total Rule results across all scans, by status.\n")
-	fmt.Fprintf(&b, "# TYPE configvalidator_results_total counter\n")
-	for _, status := range []engine.Status{engine.StatusPass, engine.StatusFail, engine.StatusNotApplicable, engine.StatusError, engine.StatusDegraded} {
-		fmt.Fprintf(&b, "configvalidator_results_total{status=%q} %d\n",
-			strings.ToLower(status.String()), s.ResultsByStatus[status])
+	for m := range numMetrics {
+		d := &defs[m]
+		if m == 0 || defs[m-1].name != d.name {
+			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", d.name, d.help, d.name, d.kind)
+		}
+		if d.label != "" {
+			fmt.Fprintf(&b, "%s{status=%q} %d\n", d.name, d.label, c.values[m].Load())
+		} else {
+			fmt.Fprintf(&b, "%s %d\n", d.name, c.values[m].Load())
+		}
 	}
 
+	s := c.Snapshot()
 	writeHistogram(&b, "configvalidator_scan_duration_seconds", "Scan latency.", s.ScanLatency)
 
 	fmt.Fprintf(&b, "# HELP configvalidator_http_requests_total HTTP requests by route and status code.\n")

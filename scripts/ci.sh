@@ -31,10 +31,10 @@ go vet ./...
 go test -race ./...
 
 # Core-count parity: fleet workers and retries, the parse cache the workers
-# share, the engine's shared verdict memo, the server's breaker and the
-# journal must behave the same single-core and multi-core, whatever core
-# count this machine has.
-go test -count=1 -cpu 1,4 . ./internal/crawler ./internal/engine ./internal/server ./internal/journal
+# share, the engine's shared verdict memo, the server's breaker, the
+# journal and the one telemetry collector they all write must behave the
+# same single-core and multi-core, whatever core count this machine has.
+go test -count=1 -cpu 1,4 . ./internal/crawler ./internal/engine ./internal/server ./internal/journal ./internal/telemetry
 
 # Kill-and-resume smoke: crash a journaled fleet scan partway, resume,
 # and require the summary to match an uninterrupted run's.

@@ -257,7 +257,7 @@ func New(opts ...Option) (*Validator, error) {
 	if c.reader == nil {
 		return nil, fmt.Errorf("configvalidator: a manifest requires a rule-file reader")
 	}
-	if c.parseCache != nil && c.telemetry != nil {
+	if c.telemetry != nil {
 		c.parseCache.SetMetrics(c.telemetry)
 	}
 	eng := engine.New(crawler.New(c.registry, crawler.Options{Faults: c.faults, Cache: c.parseCache}))
@@ -286,8 +286,17 @@ func (v *Validator) Telemetry() *Collector { return v.telemetry }
 // same CV_FAULTS spec on worker journal segments (op segment-write).
 func (v *Validator) Faults() *FaultInjector { return v.faults }
 
-// record instruments one terminal validation outcome. Collector methods
-// are nil-safe, so un-instrumented validators pay only a nil check.
+// resultMetrics maps each rule-result status to its results_total row.
+var resultMetrics = map[engine.Status]telemetry.Metric{
+	engine.StatusPass:          telemetry.ResultsPass,
+	engine.StatusFail:          telemetry.ResultsFail,
+	engine.StatusNotApplicable: telemetry.ResultsNotApplicable,
+	engine.StatusError:         telemetry.ResultsError,
+	engine.StatusDegraded:      telemetry.ResultsDegraded,
+}
+
+// record instruments one terminal validation outcome: the scan, its
+// latency, and the report's rule results by status.
 func (v *Validator) record(start time.Time, rep *Report, err error) {
 	if v.telemetry == nil {
 		return
@@ -296,7 +305,12 @@ func (v *Validator) record(start time.Time, rep *Report, err error) {
 		v.telemetry.ScanFailed(time.Since(start))
 		return
 	}
-	v.telemetry.ScanDone(time.Since(start), rep.Counts())
+	v.telemetry.ScanDone(time.Since(start))
+	for status, n := range rep.Counts() {
+		if m, ok := resultMetrics[status]; ok {
+			v.telemetry.Add(m, int64(n))
+		}
+	}
 }
 
 // Validate runs every enabled manifest entry (including composite rules)
@@ -347,8 +361,8 @@ func (v *Validator) scan(e Entity, target string, j *Journal) (res FleetResult) 
 	if target != "" {
 		m = &cvl.Manifest{Entries: entries}
 	}
-	v.telemetry.ScanStarted()
-	defer v.telemetry.ScanEnded()
+	v.telemetry.Add(telemetry.InFlightScans, 1)
+	defer v.telemetry.Add(telemetry.InFlightScans, -1)
 	res.Report, res.Err = v.engine.ValidateWithSource(obs, m, v.source)
 	v.record(start, res.Report, res.Err)
 	return res
